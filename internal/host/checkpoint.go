@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"cryptodrop/internal/snapshot"
 )
@@ -65,16 +64,7 @@ func encodeCheckpoint(identity snapshot.Header, c *sessionCheckpoint) []byte {
 	enc.Varint(c.shedBytes)
 	enc.Varint(c.saturations)
 	enc.Varint(c.detCount)
-	ids := make([]uint64, 0, len(c.overlay))
-	for id := range c.overlay {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	enc.Uvarint(uint64(len(ids)))
-	for _, id := range ids {
-		enc.Uvarint(id)
-		enc.Bytes(c.overlay[id])
-	}
+	encodeContentMap(enc, c.overlay)
 	enc.Bytes(c.engine)
 	return snapshot.Seal(identity, enc.Data())
 }
@@ -96,14 +86,7 @@ func decodeCheckpoint(data []byte, want snapshot.Header) (*sessionCheckpoint, er
 		shedBytes:   d.Varint(),
 		saturations: d.Varint(),
 		detCount:    d.Varint(),
-	}
-	n := d.Count()
-	if n > 0 {
-		c.overlay = make(map[uint64][]byte, n)
-		for i := 0; i < n; i++ {
-			id := d.Uvarint()
-			c.overlay[id] = d.Bytes()
-		}
+		overlay:     decodeContentMap(d),
 	}
 	c.engine = d.Bytes()
 	if d.Err() != nil {

@@ -139,19 +139,19 @@ func TestWALRoundTrip(t *testing.T) {
 		}},
 	}
 
+	data := append([]byte{}, walHeader...)
+	for _, rec := range records {
+		data = AppendBatch(data, rec.start, rec.ops)
+	}
 	path := filepath.Join(t.TempDir(), "s.wal")
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	got, err := readWAL(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, rec := range records {
-		if err := appendWALRecord(f, rec.start, rec.ops); err != nil {
-			t.Fatal(err)
-		}
-	}
-	f.Close()
-
-	got := readWAL(path)
 	if !reflect.DeepEqual(got, records) {
 		t.Fatalf("WAL round trip diverged:\ngot  %+v\nwant %+v", got, records)
 	}
@@ -159,9 +159,10 @@ func TestWALRoundTrip(t *testing.T) {
 
 // TestWALTornTail pins crash consistency: truncating the log at every
 // possible byte boundary, or flipping any byte of the final record, must
-// never panic and must still yield every record before the damage.
+// never panic and must still yield every record before the damage. A cut
+// inside the header (a crash while it was written) reads as an empty log.
 func TestWALTornTail(t *testing.T) {
-	var buf bytes.Buffer
+	full := append([]byte{}, walHeader...)
 	var lens []int
 	const n = 3
 	for i := 0; i < n; i++ {
@@ -170,12 +171,9 @@ func TestWALTornTail(t *testing.T) {
 				Path: fmt.Sprintf("/docs/f%d.txt", i+1), FileID: uint64(i + 1), Wrote: true},
 			Post: map[uint64][]byte{uint64(i + 1): cipherContent(uint64(i+1), 24)},
 		}
-		if err := appendWALRecord(&buf, int64(i), []Op{op}); err != nil {
-			t.Fatal(err)
-		}
-		lens = append(lens, buf.Len())
+		full = AppendBatch(full, int64(i), []Op{op})
+		lens = append(lens, len(full))
 	}
-	full := buf.Bytes()
 	dir := t.TempDir()
 	write := func(name string, data []byte) string {
 		p := filepath.Join(dir, name)
@@ -193,7 +191,10 @@ func TestWALTornTail(t *testing.T) {
 		return k
 	}
 	for cut := 0; cut < len(full); cut++ {
-		got := readWAL(write("trunc.wal", full[:cut]))
+		got, err := readWAL(write("trunc.wal", full[:cut]))
+		if err != nil {
+			t.Fatalf("truncated at %d: %v", cut, err)
+		}
 		if want := intactBefore(cut); len(got) != want {
 			t.Fatalf("truncated at %d: read %d records, want %d", cut, len(got), want)
 		}
@@ -202,12 +203,12 @@ func TestWALTornTail(t *testing.T) {
 	for i := lens[1]; i < len(full); i++ {
 		mut := append([]byte{}, full...)
 		mut[i] ^= 0x01
-		if got := readWAL(write("flip.wal", mut)); len(got) != 2 {
-			t.Fatalf("bitflip at %d: read %d records, want 2", i, len(got))
+		if got, err := readWAL(write("flip.wal", mut)); err != nil || len(got) != 2 {
+			t.Fatalf("bitflip at %d: read %d records (err %v), want 2", i, len(got), err)
 		}
 	}
-	if got := readWAL(filepath.Join(dir, "missing.wal")); got != nil {
-		t.Fatalf("missing WAL read %d records, want none", len(got))
+	if got, err := readWAL(filepath.Join(dir, "missing.wal")); err != nil || got != nil {
+		t.Fatalf("missing WAL read %d records (err %v), want none", len(got), err)
 	}
 }
 
@@ -320,8 +321,8 @@ func killAndRestore(t *testing.T, direct bool, every int) {
 	// Phase 3: a clean close leaves a final checkpoint and an empty WAL, so
 	// a third restore reproduces the finished state without replaying a thing.
 	_, walPath := checkpointPaths(dir, "victim")
-	if recs := readWAL(walPath); len(recs) != 0 {
-		t.Fatalf("WAL holds %d records after clean close, want 0", len(recs))
+	if recs, err := readWAL(walPath); err != nil || len(recs) != 0 {
+		t.Fatalf("WAL holds %d records (err %v) after clean close, want 0", len(recs), err)
 	}
 	h3 := New(Config{CheckpointDir: dir, Restore: true})
 	s3, err := h3.Open("victim", SessionConfig{Engine: engCfg(), Direct: direct})
@@ -388,7 +389,7 @@ func TestRestorePartialWALOverlap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := appendWALRecord(f, 2, ops[2:6]); err != nil {
+	if _, err := f.Write(AppendBatch(nil, 2, ops[2:6])); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()

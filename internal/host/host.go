@@ -142,8 +142,9 @@ type Config struct {
 	// on-disk state was produced by a differently-configured pipeline, and
 	// with core.ErrSnapshotCorrupt when the checkpoint is damaged (a torn
 	// WAL tail, by contrast, is expected crash debris and is dropped
-	// silently). Without Restore, Open starts fresh and truncates any stale
-	// files for that session ID.
+	// silently), and with a *WALFormatError when the WAL was written in
+	// another format. Without Restore, Open starts fresh and truncates any
+	// stale files for that session ID.
 	Restore bool
 }
 

@@ -299,20 +299,25 @@ func (s *Session) openDurable(dir string, every int, restore bool) error {
 	s.checkpointEvery = every
 
 	var records []walRecord
-	flags := os.O_CREATE | os.O_WRONLY | os.O_APPEND
 	if restore {
-		records = readWAL(s.walPath)
+		var err error
+		if records, err = readWAL(s.walPath); err != nil {
+			return fmt.Errorf("host: restore session %q: %w", s.id, err)
+		}
 	} else {
 		// Fresh start: drop any stale state under this session ID.
 		os.Remove(s.ckptPath)
-		flags |= os.O_TRUNC
 	}
-	wal, err := os.OpenFile(s.walPath, flags, 0o644)
+	wal, err := os.OpenFile(s.walPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("host: session %q: open wal: %w", s.id, err)
 	}
 	s.wal = wal
 	if !restore {
+		if err := s.resetWAL(); err != nil {
+			wal.Close()
+			return fmt.Errorf("host: session %q: reset wal: %w", s.id, err)
+		}
 		return nil
 	}
 
@@ -400,13 +405,32 @@ func (s *Session) checkpointNow() error {
 	}
 	if s.wal != nil {
 		// The checkpoint covers everything the WAL holds; truncating is pure
-		// garbage collection (O_APPEND writes restart at offset 0).
-		if err := s.wal.Truncate(0); err != nil {
+		// garbage collection.
+		if err := s.resetWAL(); err != nil {
 			return err
 		}
 	}
 	s.sinceCkpt = 0
 	return nil
+}
+
+// resetWAL empties the log down to its header. O_APPEND writes restart at
+// offset 0 after the truncate.
+func (s *Session) resetWAL() error {
+	if err := s.wal.Truncate(0); err != nil {
+		return err
+	}
+	_, err := s.wal.Write(walHeader)
+	return err
+}
+
+// appendWAL appends one batch record to the log. The record is encoded
+// into one exactly-sized allocation that is garbage once written: a buffer
+// kept per session, or pooled across them, would hold a batch-sized
+// allocation live for as long as the sessions stay open.
+func (s *Session) appendWAL(ops []Op) error {
+	_, err := s.wal.Write(AppendBatch(nil, s.ingested.Load(), ops))
+	return err
 }
 
 // noteDurErr records the first durability failure.
@@ -727,7 +751,7 @@ func (s *Session) worker() {
 // recorded (DurabilityErr) but never interrupt scoring.
 func (s *Session) apply(ops []Op) {
 	if s.wal != nil {
-		s.noteDurErr(appendWALRecord(s.wal, s.ingested.Load(), ops))
+		s.noteDurErr(s.appendWAL(ops))
 	}
 	s.run(ops)
 	if s.ckptPath != "" {

@@ -1,10 +1,11 @@
 package host
 
 import (
+	"bytes"
 	"encoding/binary"
-	"io"
+	"fmt"
 	"os"
-	"sort"
+	"slices"
 
 	"cryptodrop/internal/core"
 	"cryptodrop/internal/snapshot"
@@ -15,11 +16,14 @@ import (
 // restores the last checkpoint and replays the WAL tail, reproducing the
 // scoreboard bit for bit.
 //
-// On-disk format — a sequence of framed records:
+// On-disk format — a header, then a sequence of batch records (AppendBatch,
+// the record format the wire protocol also frames its batches in):
 //
-//	uvarint(len(payload)) | payload | u64 FNV-64a(payload), little-endian
+//	"CDWL" | uvarint(walVersion)                       once, at offset 0
+//	uvarint(len(payload)) | payload | u32 CRC-32C      per record
 //
-// where payload is
+// where the checksum covers the length prefix and the payload, and payload
+// is
 //
 //	varint(start) | uvarint(nops) | op…
 //
@@ -34,6 +38,39 @@ import (
 // record's batch was by definition never durably applied anywhere else, so
 // dropping it is the correct recovery, not data loss: the op stream resumes
 // from the producer.
+//
+// The header is what keeps that rule from hiding a format change: a log
+// from a build with another record format would fail every checksum and
+// read as one long torn tail. A non-empty log whose header is missing or
+// names another version is therefore refused with a WALFormatError instead.
+
+// walMagic opens every write-ahead log; walVersion is its record format.
+const (
+	walMagic   = "CDWL"
+	walVersion = 1
+)
+
+// walHeader is the header every WAL file starts with, written whenever the
+// file is created or truncated.
+var walHeader = binary.AppendUvarint([]byte(walMagic), walVersion)
+
+// WALFormatError reports a non-empty write-ahead log whose header is missing
+// or names a format this build does not read — in practice a log written by
+// an older build. Restore refuses the session rather than drop the ops the
+// log holds. It unwraps to snapshot.ErrVersion.
+type WALFormatError struct {
+	// Path is the log file.
+	Path string
+	// Reason says what is wrong with the header.
+	Reason string
+}
+
+func (e *WALFormatError) Error() string {
+	return fmt.Sprintf("host: write-ahead log %s: %s", e.Path, e.Reason)
+}
+
+// Unwrap makes errors.Is(err, snapshot.ErrVersion) true.
+func (e *WALFormatError) Unwrap() error { return snapshot.ErrVersion }
 
 // walRecord is one decoded WAL entry.
 type walRecord struct {
@@ -43,19 +80,69 @@ type walRecord struct {
 	ops []Op
 }
 
-// EncodeOps appends a count-prefixed op sequence in the canonical op codec —
-// the exact encoding the write-ahead log frames, shared with the network
-// wire format so a wire frame and a WAL record describe ops identically.
-func EncodeOps(enc *snapshot.Encoder, ops []Op) {
+// AppendBatch appends one self-checking op-batch record to dst — the record
+// format the write-ahead log and the network wire protocol share, so a WAL
+// record and a wire frame describe ops identically:
+//
+//	uvarint(len(payload)) | payload | u32 CRC-32C, little-endian
+//	payload = varint(pos) | uvarint(nops) | op…
+//
+// The checksum covers the length prefix and the payload. The record is sized
+// before it is encoded, so dst grows at most once, and appending to a buffer
+// with enough spare capacity does not allocate.
+func AppendBatch(dst []byte, pos int64, ops []Op) []byte {
+	n := snapshot.VarintLen(pos) + opsSize(ops)
+	start := len(dst)
+	dst = slices.Grow(dst, snapshot.UvarintLen(uint64(n))+n+snapshot.ChecksumSize)
+	dst = binary.AppendUvarint(dst, uint64(n))
+	enc := snapshot.AppendEncoder(dst)
+	enc.Varint(pos)
+	encodeOps(enc, ops)
+	if got := len(enc.Data()) - len(dst); got != n {
+		panic(fmt.Sprintf("host: batch encoded %d bytes, sized %d", got, n))
+	}
+	dst = enc.Data()
+	return snapshot.AppendChecksum(dst, dst[start:])
+}
+
+// ReadBatch decodes the record AppendBatch wrote at the start of rec and
+// returns its position, its ops and the record's encoded length. A record
+// that is torn, fails its checksum or does not decode exactly is an error
+// wrapping snapshot.ErrCorrupt. Decoded content is copied out of rec.
+func ReadBatch(rec []byte) (pos int64, ops []Op, n int, err error) {
+	plen, sz := binary.Uvarint(rec)
+	if sz <= 0 || plen > uint64(len(rec)-sz) || len(rec)-sz-int(plen) < snapshot.ChecksumSize {
+		return 0, nil, 0, fmt.Errorf("%w: torn batch record", snapshot.ErrCorrupt)
+	}
+	n = sz + int(plen) + snapshot.ChecksumSize
+	body, ok := snapshot.SplitChecksum(rec[:n])
+	if !ok {
+		return 0, nil, 0, fmt.Errorf("%w: batch checksum failed", snapshot.ErrCorrupt)
+	}
+	d := snapshot.NewDecoder(body[sz:])
+	pos = d.Varint()
+	ops = decodeOps(d)
+	if d.Err() != nil {
+		return 0, nil, 0, d.Err()
+	}
+	if d.Len() != 0 {
+		return 0, nil, 0, fmt.Errorf("%w: %d trailing bytes in batch record", snapshot.ErrCorrupt, d.Len())
+	}
+	return pos, ops, n, nil
+}
+
+// encodeOps appends a count-prefixed op sequence in the canonical op codec
+// that AppendBatch frames.
+func encodeOps(enc *snapshot.Encoder, ops []Op) {
 	enc.Uvarint(uint64(len(ops)))
 	for i := range ops {
 		encodeOp(enc, &ops[i])
 	}
 }
 
-// DecodeOps reads a count-prefixed op sequence written by EncodeOps. Errors
+// decodeOps reads a count-prefixed op sequence written by encodeOps. Errors
 // stick to the decoder; check d.Err after the surrounding structure.
-func DecodeOps(d *snapshot.Decoder) []Op {
+func decodeOps(d *snapshot.Decoder) []Op {
 	n := d.Count()
 	if n == 0 {
 		return nil
@@ -92,9 +179,11 @@ func decodeOp(d *snapshot.Decoder) Op {
 	}
 	op.Pre = decodeContentMap(d)
 	op.Post = decodeContentMap(d)
-	n := d.Count()
-	for i := 0; i < n; i++ {
-		op.Evict = append(op.Evict, d.Uvarint())
+	if n := d.Count(); n > 0 {
+		op.Evict = make([]uint64, n)
+		for i := range op.Evict {
+			op.Evict[i] = d.Uvarint()
+		}
 	}
 	return op
 }
@@ -130,13 +219,16 @@ func decodeEvent(d *snapshot.Decoder, ev *core.Event) {
 	ev.Wrote = d.Bool()
 }
 
-// encodeContentMap writes a file-ID → content map in sorted ID order.
+// encodeContentMap writes a file-ID → content map in sorted ID order. The
+// IDs are sorted in a stack array, so ordinary maps encode without
+// allocating.
 func encodeContentMap(enc *snapshot.Encoder, m map[uint64][]byte) {
-	ids := make([]uint64, 0, len(m))
+	var stack [16]uint64
+	ids := stack[:0]
 	for id := range m {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	enc.Uvarint(uint64(len(ids)))
 	for _, id := range ids {
 		enc.Uvarint(id)
@@ -157,62 +249,76 @@ func decodeContentMap(d *snapshot.Decoder) map[uint64][]byte {
 	return m
 }
 
-// walFNV is FNV-1a over data, the per-record checksum.
-func walFNV(data []byte) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, b := range data {
-		h = (h ^ uint64(b)) * prime64
+// opsSize returns the number of bytes encodeOps writes for ops.
+func opsSize(ops []Op) int {
+	n := snapshot.UvarintLen(uint64(len(ops)))
+	for i := range ops {
+		op := &ops[i]
+		n += eventSize(&op.Event) + 1
+		if op.PreEvent != nil {
+			n += eventSize(op.PreEvent)
+		}
+		n += contentMapSize(op.Pre) + contentMapSize(op.Post)
+		n += snapshot.UvarintLen(uint64(len(op.Evict)))
+		for _, id := range op.Evict {
+			n += snapshot.UvarintLen(id)
+		}
 	}
-	return h
+	return n
 }
 
-// appendWALRecord frames and appends one batch to the log. The write happens
-// before the batch is applied to the engine (write-ahead).
-func appendWALRecord(w io.Writer, start int64, ops []Op) error {
-	enc := snapshot.NewEncoder()
-	enc.Varint(start)
-	EncodeOps(enc, ops)
-	payload := enc.Data()
-	frame := binary.AppendUvarint(nil, uint64(len(payload)))
-	frame = append(frame, payload...)
-	var sum [8]byte
-	binary.LittleEndian.PutUint64(sum[:], walFNV(payload))
-	frame = append(frame, sum[:]...)
-	_, err := w.Write(frame)
-	return err
+// eventSize returns the number of bytes encodeEvent writes for ev.
+func eventSize(ev *core.Event) int {
+	return snapshot.UvarintLen(uint64(ev.Kind)) + snapshot.VarintLen(int64(ev.PID)) +
+		snapshot.BytesLen(len(ev.Path)) + snapshot.BytesLen(len(ev.NewPath)) +
+		snapshot.UvarintLen(ev.FileID) + snapshot.UvarintLen(ev.ReplacedID) +
+		snapshot.BytesLen(len(ev.Data)) + snapshot.VarintLen(ev.Offset) +
+		snapshot.VarintLen(ev.Size) + snapshot.UvarintLen(uint64(ev.Flags)) + 1
+}
+
+// contentMapSize returns the number of bytes encodeContentMap writes for m.
+func contentMapSize(m map[uint64][]byte) int {
+	n := snapshot.UvarintLen(uint64(len(m)))
+	for id, b := range m {
+		n += snapshot.UvarintLen(id) + snapshot.BytesLen(len(b))
+	}
+	return n
 }
 
 // readWAL parses every intact record from a WAL file. A torn or corrupt
 // tail terminates the read silently (see the crash-consistency note above);
-// a missing file is an empty log.
-func readWAL(path string) []walRecord {
+// a missing or empty file is an empty log, and so is a file holding only a
+// prefix of the header (a crash during the header write). Any other file
+// without this build's header is a *WALFormatError.
+func readWAL(path string) ([]walRecord, error) {
 	data, err := os.ReadFile(path)
+	if os.IsNotExist(err) {
+		return nil, nil
+	}
 	if err != nil {
-		return nil
+		return nil, err
+	}
+	switch {
+	case bytes.HasPrefix(data, walHeader):
+		data = data[len(walHeader):]
+	case bytes.HasPrefix(walHeader, data):
+		return nil, nil
+	case bytes.HasPrefix(data, []byte(walMagic)):
+		v, _ := binary.Uvarint(data[len(walMagic):])
+		return nil, &WALFormatError{Path: path,
+			Reason: fmt.Sprintf("format version %d, this build reads %d", v, walVersion)}
+	default:
+		return nil, &WALFormatError{Path: path,
+			Reason: fmt.Sprintf("no %q header (written by an older build?)", walMagic)}
 	}
 	var out []walRecord
 	for len(data) > 0 {
-		n, sz := binary.Uvarint(data)
-		if sz <= 0 || n > uint64(len(data)-sz) {
-			break // torn length or payload
+		start, ops, n, err := ReadBatch(data)
+		if err != nil {
+			break // torn or corrupt tail
 		}
-		payload := data[sz : sz+int(n)]
-		rest := data[sz+int(n):]
-		if len(rest) < 8 || walFNV(payload) != binary.LittleEndian.Uint64(rest) {
-			break // torn or corrupt record
-		}
-		data = rest[8:]
-		d := snapshot.NewDecoder(payload)
-		rec := walRecord{start: d.Varint()}
-		rec.ops = DecodeOps(d)
-		if d.Err() != nil {
-			break // checksum passed but structure is bad: treat as torn
-		}
-		out = append(out, rec)
+		out = append(out, walRecord{start: start, ops: ops})
+		data = data[n:]
 	}
-	return out
+	return out, nil
 }

@@ -20,19 +20,19 @@ type fakeContext struct {
 	typesWrote int
 }
 
-func (f *fakeContext) Points() Points                { return f.points }
-func (f *fakeContext) Path() string                  { return f.path }
-func (f *fakeContext) StreamDeltaSuspicious() bool   { return f.deltaSusp }
-func (f *fakeContext) PayloadStreamAvailable() bool  { return f.payload }
-func (f *fakeContext) TypeChanged() bool             { return f.typeChange }
-func (f *fakeContext) Dissimilar() bool              { return f.dissimilar }
-func (f *fakeContext) FileEntropyDelta() float64     { return f.fileDelta }
+func (f *fakeContext) Points() Points                 { return f.points }
+func (f *fakeContext) Path() string                   { return f.path }
+func (f *fakeContext) StreamDeltaSuspicious() bool    { return f.deltaSusp }
+func (f *fakeContext) PayloadStreamAvailable() bool   { return f.payload }
+func (f *fakeContext) TypeChanged() bool              { return f.typeChange }
+func (f *fakeContext) Dissimilar() bool               { return f.dissimilar }
+func (f *fakeContext) FileEntropyDelta() float64      { return f.fileDelta }
 func (f *fakeContext) EntropyDeltaThreshold() float64 { return 0.1 }
-func (f *fakeContext) NewFileCipherLike() bool       { return f.newCipher }
-func (f *fakeContext) DeletedOwnFile() bool          { return f.ownDelete }
-func (f *fakeContext) TypesRead() int                { return f.typesRead }
-func (f *fakeContext) TypesWritten() int             { return f.typesWrote }
-func (f *fakeContext) FunnelingThreshold() int       { return 5 }
+func (f *fakeContext) NewFileCipherLike() bool        { return f.newCipher }
+func (f *fakeContext) DeletedOwnFile() bool           { return f.ownDelete }
+func (f *fakeContext) TypesRead() int                 { return f.typesRead }
+func (f *fakeContext) TypesWritten() int              { return f.typesWrote }
+func (f *fakeContext) FunnelingThreshold() int        { return 5 }
 
 // TestStringMatchesDecl pins that ID.String always returns the name the
 // unit declares — the anti-drift contract: names are written once, in the

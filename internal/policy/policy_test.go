@@ -18,13 +18,13 @@ type fakeContext struct {
 	union       float64
 }
 
-func (f *fakeContext) Score() float64              { return f.score }
-func (f *fakeContext) Seen(id indicator.ID) bool   { return f.seen[id] }
-func (f *fakeContext) SeenCount() int              { return len(f.seen) }
-func (f *fakeContext) RegistrySize() int           { return f.regSize }
-func (f *fakeContext) Accelerated() bool           { return f.accelerated }
-func (f *fakeContext) NonUnionThreshold() float64  { return f.nonUnion }
-func (f *fakeContext) UnionThreshold() float64     { return f.union }
+func (f *fakeContext) Score() float64             { return f.score }
+func (f *fakeContext) Seen(id indicator.ID) bool  { return f.seen[id] }
+func (f *fakeContext) SeenCount() int             { return len(f.seen) }
+func (f *fakeContext) RegistrySize() int          { return f.regSize }
+func (f *fakeContext) Accelerated() bool          { return f.accelerated }
+func (f *fakeContext) NonUnionThreshold() float64 { return f.nonUnion }
+func (f *fakeContext) UnionThreshold() float64    { return f.union }
 func (f *fakeContext) Accelerate(label string, bonus float64) {
 	if f.accelerated {
 		return

@@ -241,10 +241,10 @@ func (s *Stream) advance(acked int64, ops *[]host.Op) {
 	*ops = (*ops)[n:]
 }
 
-// post sends one framed batch at the current position.
+// post sends one framed batch at the current position. The frame is sized
+// before it is encoded, so the body is one allocation past the header.
 func (s *Stream) post(ctx context.Context, ops []host.Op) (int, wire.Ack, error) {
-	buf := wire.AppendHeader(nil, s.session)
-	buf = wire.AppendFrame(buf, s.pos, ops)
+	buf := wire.AppendFrame(wire.AppendHeader(nil, s.session), s.pos, ops)
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, s.c.base+"/v1/ingest", bytes.NewReader(buf))
 	if err != nil {
 		return 0, wire.Ack{}, err

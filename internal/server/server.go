@@ -236,6 +236,10 @@ func (st *sessionState) ackFor(session string) wire.Ack {
 	}
 }
 
+// readerPool holds the 64 KiB stream readers handleIngest reads bodies
+// through, so a request does not allocate one.
+var readerPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 64<<10) }}
+
 // handleIngest terminates one wire stream: header, then frames until EOF,
 // each frame admission-checked (sequence, rate limit, queue) before its ops
 // enter the session. The first refusal ends the stream with a status the
@@ -259,7 +263,12 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeAck(w, http.StatusUnauthorized, wire.Ack{Code: wire.CodeUnauthorized, Error: wire.ErrUnauthorized.Error()})
 		return
 	}
-	br := bufio.NewReaderSize(r.Body, 64<<10)
+	br := readerPool.Get().(*bufio.Reader)
+	br.Reset(r.Body)
+	defer func() {
+		br.Reset(nil)
+		readerPool.Put(br)
+	}()
 	hdr, err := wire.ReadHeader(br)
 	if err != nil {
 		s.badFrames.Inc()
@@ -272,9 +281,10 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeAck(w, http.StatusServiceUnavailable, wire.Ack{Session: hdr.Session, Code: wire.CodeDraining, Error: err.Error(), RetryAfterMs: 1000})
 		return
 	}
+	frames := wire.NewFrameReader(br)
 	for {
 		frameStart := time.Now()
-		f, err := wire.ReadFrame(br)
+		f, err := frames.Next()
 		if err == io.EOF {
 			break
 		}

@@ -8,12 +8,15 @@
 //	"CDWF" | uvarint version | string sessionID        stream header, once
 //	frame…                                             until EOF
 //
-// and each frame is length-framed and checksummed exactly like a write-ahead
-// log record, carrying the canonical op codec the durable sessions already
-// use (internal/snapshot primitives via host.EncodeOps):
+// and each frame is a write-ahead log record (host.AppendBatch), carrying
+// the canonical op codec the durable sessions already use:
 //
-//	uvarint len(payload) | payload | u64 FNV-64a(payload), little-endian
+//	uvarint len(payload) | payload | u32 CRC-32C, little-endian
 //	payload = varint seq | count-prefixed ops
+//
+// where the checksum (snapshot.Checksum) covers the length prefix and the
+// payload. Version 1 streams carried an FNV-64a trailer; they are refused at
+// the header.
 //
 // seq is the producer's op position of the frame's first op — the session's
 // total ops sent before this frame. It makes ingest idempotent: a server
@@ -26,7 +29,9 @@
 // Decoding never panics on hostile input: frame lengths are capped by
 // MaxFrameBytes before allocation and every inner length is validated by the
 // snapshot decoder's guards. A torn or corrupt frame fails with ErrBadFrame;
-// a clean end of stream is io.EOF from ReadFrame.
+// a clean end of stream is io.EOF from ReadFrame. A FrameReader reads a
+// stream's frames into one reused buffer and copies decoded content out, so
+// its steady state allocates only the decoded ops.
 package wire
 
 import (
@@ -35,6 +40,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"cryptodrop/internal/host"
 	"cryptodrop/internal/snapshot"
@@ -45,7 +51,7 @@ const Magic = "CDWF"
 
 // Version is the wire-format version this build speaks. The stream header
 // carries it; a server refuses versions it does not know.
-const Version = 1
+const Version = 2
 
 // MaxFrameBytes caps one frame's payload — the allocation-bomb guard for
 // hostile length fields, and the practical upper bound on one batch's staged
@@ -112,10 +118,10 @@ type Header struct {
 
 // AppendHeader appends the stream header for session to buf.
 func AppendHeader(buf []byte, session string) []byte {
-	enc := snapshot.NewEncoder()
-	enc.Uvarint(Version)
-	enc.String(session)
-	return append(append(buf, Magic...), enc.Data()...)
+	buf = append(buf, Magic...)
+	buf = binary.AppendUvarint(buf, Version)
+	buf = binary.AppendUvarint(buf, uint64(len(session)))
+	return append(buf, session...)
 }
 
 // ReadHeader reads and validates the stream header.
@@ -159,24 +165,34 @@ type Frame struct {
 	Ops []host.Op
 }
 
-// AppendFrame appends one framed, checksummed op batch to buf.
+// AppendFrame appends one framed, checksummed op batch to buf, growing it
+// at most once; into a buffer with enough spare capacity it does not
+// allocate.
 func AppendFrame(buf []byte, seq int64, ops []host.Op) []byte {
-	enc := snapshot.NewEncoder()
-	enc.Varint(seq)
-	host.EncodeOps(enc, ops)
-	payload := enc.Data()
-	buf = binary.AppendUvarint(buf, uint64(len(payload)))
-	buf = append(buf, payload...)
-	var sum [8]byte
-	binary.LittleEndian.PutUint64(sum[:], fnv64a(payload))
-	return append(buf, sum[:]...)
+	return host.AppendBatch(buf, seq, ops)
 }
 
-// ReadFrame reads the next frame. A clean end of stream — EOF exactly at a
-// frame boundary — returns io.EOF; anything torn, oversized or corrupt
-// wraps ErrBadFrame.
-func ReadFrame(r *bufio.Reader) (Frame, error) {
-	n, err := binary.ReadUvarint(r)
+// ReadFrame reads the next frame into a buffer of its own. A clean end of
+// stream — EOF exactly at a frame boundary — returns io.EOF; anything torn,
+// oversized or corrupt wraps ErrBadFrame. A stream of several frames reads
+// them through one FrameReader instead, which reuses its buffer.
+func ReadFrame(r *bufio.Reader) (Frame, error) { return NewFrameReader(r).Next() }
+
+// FrameReader reads the frames of one stream, reusing one frame buffer for
+// all of them. Decoded content is copied out of the buffer, so frames stay
+// valid after the next read.
+type FrameReader struct {
+	r   *bufio.Reader
+	buf []byte
+}
+
+// NewFrameReader returns a FrameReader over the frames that follow the
+// stream header in r.
+func NewFrameReader(r *bufio.Reader) *FrameReader { return &FrameReader{r: r} }
+
+// Next reads the next frame, with ReadFrame's results.
+func (fr *FrameReader) Next() (Frame, error) {
+	n, err := binary.ReadUvarint(fr.r)
 	if err != nil {
 		if err == io.EOF {
 			return Frame{}, io.EOF
@@ -186,41 +202,21 @@ func ReadFrame(r *bufio.Reader) (Frame, error) {
 	if n > MaxFrameBytes {
 		return Frame{}, fmt.Errorf("%w: frame of %d bytes exceeds cap %d", ErrBadFrame, n, MaxFrameBytes)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return Frame{}, fmt.Errorf("%w: torn frame payload", ErrBadFrame)
+	// Rebuild the record the checksum covers: length prefix, then payload
+	// and trailer read straight from the stream.
+	rec := binary.AppendUvarint(fr.buf[:0], n)
+	head := len(rec)
+	rec = slices.Grow(rec, int(n)+snapshot.ChecksumSize)[:head+int(n)+snapshot.ChecksumSize]
+	fr.buf = rec
+	if _, err := io.ReadFull(fr.r, rec[head:]); err != nil {
+		return Frame{}, fmt.Errorf("%w: torn frame", ErrBadFrame)
 	}
-	var sum [8]byte
-	if _, err := io.ReadFull(r, sum[:]); err != nil {
-		return Frame{}, fmt.Errorf("%w: torn frame checksum", ErrBadFrame)
+	seq, ops, _, err := host.ReadBatch(rec)
+	if err != nil {
+		return Frame{}, fmt.Errorf("%w: %v", ErrBadFrame, err)
 	}
-	if fnv64a(payload) != binary.LittleEndian.Uint64(sum[:]) {
-		return Frame{}, fmt.Errorf("%w: frame checksum failed", ErrBadFrame)
+	if seq < 0 {
+		return Frame{}, fmt.Errorf("%w: negative sequence %d", ErrBadFrame, seq)
 	}
-	d := snapshot.NewDecoder(payload)
-	f := Frame{Seq: d.Varint()}
-	f.Ops = host.DecodeOps(d)
-	if d.Err() != nil {
-		return Frame{}, fmt.Errorf("%w: %v", ErrBadFrame, d.Err())
-	}
-	if d.Len() != 0 {
-		return Frame{}, fmt.Errorf("%w: %d trailing bytes in frame", ErrBadFrame, d.Len())
-	}
-	if f.Seq < 0 {
-		return Frame{}, fmt.Errorf("%w: negative sequence %d", ErrBadFrame, f.Seq)
-	}
-	return f, nil
-}
-
-// fnv64a is FNV-1a over data — the same per-record checksum the WAL uses.
-func fnv64a(data []byte) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, b := range data {
-		h = (h ^ uint64(b)) * prime64
-	}
-	return h
+	return Frame{Seq: seq, Ops: ops}, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"io"
 	"reflect"
@@ -11,6 +12,7 @@ import (
 
 	"cryptodrop/internal/core"
 	"cryptodrop/internal/host"
+	"cryptodrop/internal/snapshot"
 )
 
 func sampleOps() []host.Op {
@@ -130,6 +132,15 @@ func TestHeaderValidation(t *testing.T) {
 	}
 }
 
+// A version-1 stream header (the FNV-64a frame format) is refused, never
+// decoded as frames whose checksums all fail.
+func TestV1HeaderRefused(t *testing.T) {
+	v1 := append([]byte(Magic), 0x01, 0x01, 's')
+	if _, err := ReadHeader(bufio.NewReader(bytes.NewReader(v1))); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("v1 header: err = %v, want ErrBadFrame", err)
+	}
+}
+
 // Trailing garbage inside a checksummed payload is structural corruption.
 func TestTrailingBytesRefused(t *testing.T) {
 	// Build a frame whose payload has two extra bytes after the ops.
@@ -140,11 +151,75 @@ func TestTrailingBytesRefused(t *testing.T) {
 	payload = append(payload, 0xde, 0xad)
 	buf := binary.AppendUvarint(nil, uint64(len(payload)))
 	buf = append(buf, payload...)
-	var sum [8]byte
-	binary.LittleEndian.PutUint64(sum[:], fnv64a(payload))
-	buf = append(buf, sum[:]...)
+	buf = snapshot.AppendChecksum(buf, buf)
 	if _, err := ReadFrame(bufio.NewReader(bytes.NewReader(buf))); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("err = %v, want ErrBadFrame", err)
+	}
+}
+
+// TestFrameGolden pins the frame encoding byte for byte, so any change to
+// the wire format is a deliberate one.
+func TestFrameGolden(t *testing.T) {
+	const want = "87010e0305520a646f63732f612e74787400070000000000010102520a646f63732f612e747874000700000016020001070b68656c6c6f20776f726c640107048f0122d90007520a646f63732f612e74787411646f63732f612e7478742e6c6f636b656407000000000000000000010706520a646f63732f622e747874000900000000000000000000d9018f47"
+	if got := hex.EncodeToString(AppendFrame(nil, 7, sampleOps())); got != want {
+		t.Fatalf("frame encoding changed:\n got %s\nwant %s", got, want)
+	}
+	if got := hex.EncodeToString(AppendHeader(nil, "s")); got != "43445746020173" {
+		t.Fatalf("stream header changed: %s", got)
+	}
+}
+
+// TestFrameDamageRefused: every single-bit flip and every truncation of a
+// frame is refused with ErrBadFrame (a cut at offset zero is a clean EOF).
+func TestFrameDamageRefused(t *testing.T) {
+	frame := AppendFrame(nil, 7, sampleOps())
+	read := func(b []byte) error {
+		_, err := ReadFrame(bufio.NewReader(bytes.NewReader(b)))
+		return err
+	}
+	for i := 0; i < len(frame)*8; i++ {
+		mut := append([]byte{}, frame...)
+		mut[i/8] ^= 1 << (i % 8)
+		if err := read(mut); !errors.Is(err, ErrBadFrame) {
+			t.Fatalf("bit %d flipped: err = %v, want ErrBadFrame", i, err)
+		}
+	}
+	if err := read(nil); err != io.EOF {
+		t.Fatalf("empty stream: err = %v, want io.EOF", err)
+	}
+	for cut := 1; cut < len(frame); cut++ {
+		if err := read(frame[:cut]); !errors.Is(err, ErrBadFrame) {
+			t.Fatalf("cut at %d: err = %v, want ErrBadFrame", cut, err)
+		}
+	}
+}
+
+// TestFrameCodecAllocs pins framing's allocation budget: encoding into a
+// large-enough buffer allocates nothing, and a FrameReader's steady state
+// allocates only what decoding the ops themselves needs.
+func TestFrameCodecAllocs(t *testing.T) {
+	ops := ingestBatch(4, 2048)
+	buf := AppendFrame(nil, 0, ops)
+	if allocs := testing.AllocsPerRun(50, func() { buf = AppendFrame(buf[:0], 7, ops) }); allocs != 0 {
+		t.Fatalf("AppendFrame into a large-enough buffer allocated %.1f times", allocs)
+	}
+	opsOnly := testing.AllocsPerRun(50, func() {
+		if _, _, _, err := host.ReadBatch(buf); err != nil {
+			t.Fatal(err)
+		}
+	})
+	var src bytes.Reader
+	br := bufio.NewReader(&src)
+	frames := NewFrameReader(br)
+	framed := testing.AllocsPerRun(50, func() {
+		src.Reset(buf)
+		br.Reset(&src)
+		if _, err := frames.Next(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if framed != opsOnly {
+		t.Fatalf("FrameReader allocated %.0f times per frame, decoding its ops alone %.0f", framed, opsOnly)
 	}
 }
 
@@ -156,6 +231,7 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(AppendFrame(nil, 1<<40, nil))
 	f.Add([]byte{})
 	f.Add([]byte{0x01, 0x00})
+	f.Add(AppendFrame(nil, 3, ingestBatch(2, 64)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, err := ReadFrame(bufio.NewReader(bytes.NewReader(data)))
 		if err != nil {

@@ -17,14 +17,16 @@ func FuzzOpen(f *testing.F) {
 	f.Add(Seal(Header{Version: 1 << 40, Registry: "reg1-0123456789abcdef", Config: "cfg1-fedcba9876543210"}, make([]byte, 512)))
 	// Structural damage.
 	f.Add([]byte{})
-	f.Add([]byte("CDSN"))
-	f.Add([]byte("CDSNxxxxxxxx"))
+	f.Add([]byte(magic))
+	f.Add([]byte(magic + "xxxxxxxx"))
 	f.Add([]byte("XXXXxxxxxxxxxxxx"))
 	truncated := Seal(Header{Version: 1, Registry: "reg1-a", Config: "cfg1-b"}, []byte("state"))
 	f.Add(truncated[:len(truncated)-4])
 	f.Add(append(append([]byte{}, truncated...), 0x00))
 	// Version-skewed but structurally valid (Open accepts; Check rejects).
 	f.Add(Seal(Header{Version: 99, Registry: "reg1-a", Config: "cfg1-b"}, []byte("future")))
+	// An envelope sealed by the previous build ("CDSN", FNV-64a trailer).
+	f.Add([]byte("CDSN\x01\x06reg1-a\x06cfg1-b\x05state\x89\xfc\xf67\xe1\xf6\xa6\xc6"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, payload, err := Open(data)

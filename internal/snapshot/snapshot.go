@@ -2,7 +2,9 @@
 // contract: a canonical, deterministic binary encoding plus a sealed
 // envelope that carries the identity of the pipeline that produced a
 // snapshot (format version, indicator-registry fingerprint, engine-config
-// hash) and an integrity checksum over the whole blob.
+// hash) and an integrity checksum over the whole blob. The same checksum,
+// Checksum, is the trailer of every other framed byte stream in the system
+// (write-ahead log records and wire frames).
 //
 // Determinism is a hard requirement, not a nicety: the recovery conformance
 // suites prove that checkpoint + write-ahead-log replay reproduces
@@ -16,7 +18,7 @@
 // modes:
 //
 //   - corruption (truncated file, torn write, flipped bit) is caught by the
-//     FNV-64a checksum and surfaces as ErrCorrupt;
+//     CRC-32C checksum and surfaces as ErrCorrupt;
 //   - a snapshot from a differently-shaped pipeline (other indicator
 //     registry, other scoring config, other format version) is caught by
 //     the header fingerprints and surfaces as ErrMismatch/ErrVersion
@@ -32,7 +34,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math"
+	"math/bits"
 )
 
 // The package sentinels. Callers dispatch with errors.Is.
@@ -96,39 +100,73 @@ func (h Header) Check(want Header) error {
 	return nil
 }
 
-// magic opens every sealed snapshot.
-const magic = "CDSN"
+// magic opens every sealed snapshot. It changed from "CDSN" when the
+// trailer moved from FNV-64a to CRC-32C, so a snapshot sealed by an older
+// build fails Open as "bad magic" rather than as a failed checksum.
+const magic = "CDS2"
 
-// fnv64a is the FNV-1a checksum the envelope carries. Implemented inline so
-// the encoding layer has no dependencies beyond the standard library's
-// binary package.
-func fnv64a(data []byte) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, b := range data {
-		h = (h ^ uint64(b)) * prime64
-	}
-	return h
+// ChecksumSize is the length of the checksum trailer AppendChecksum writes.
+const ChecksumSize = 4
+
+// castagnoli is the CRC-32C table; hash/crc32 computes it with the CPU's
+// CRC32 instructions where they exist (SSE4.2 on amd64, arm64 CRC).
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// Checksum is the integrity check of every framed or sealed byte stream:
+// sealed snapshots, write-ahead log records and wire frames. It is CRC-32C,
+// which detects every single-bit error and every burst of up to 32 bits. It
+// guards against accidental corruption only; it is not authentication.
+func Checksum(data []byte) uint32 { return crc32.Checksum(data, castagnoli) }
+
+// AppendChecksum appends Checksum(data) to dst as a 4-byte little-endian
+// trailer. data is usually the tail of dst that the trailer covers.
+func AppendChecksum(dst, data []byte) []byte {
+	return binary.LittleEndian.AppendUint32(dst, Checksum(data))
 }
+
+// SplitChecksum verifies the trailer AppendChecksum wrote at the end of
+// data and returns the bytes it covers. ok is false when data is too short
+// to hold a trailer or the checksum does not match.
+func SplitChecksum(data []byte) (body []byte, ok bool) {
+	if len(data) < ChecksumSize {
+		return nil, false
+	}
+	body, tail := data[:len(data)-ChecksumSize], data[len(data)-ChecksumSize:]
+	return body, Checksum(body) == binary.LittleEndian.Uint32(tail)
+}
+
+// UvarintLen returns the number of bytes Encoder.Uvarint writes for v.
+func UvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// VarintLen returns the number of bytes Encoder.Varint writes for v.
+func VarintLen(v int64) int {
+	ux := uint64(v) << 1
+	if v < 0 {
+		ux = ^ux
+	}
+	return UvarintLen(ux)
+}
+
+// BytesLen returns the number of bytes Encoder.Bytes or Encoder.String
+// writes for a value of n bytes.
+func BytesLen(n int) int { return UvarintLen(uint64(n)) + n }
 
 // Seal wraps a payload in the versioned envelope:
 //
-//	"CDSN" | uvarint version | string registry | string config |
-//	bytes payload | u64 checksum(everything before)
+//	"CDS2" | uvarint version | string registry | string config |
+//	bytes payload | u32 CRC-32C(everything before), little-endian
+//
+// The envelope is sized first, so Seal allocates once.
 func Seal(h Header, payload []byte) []byte {
-	e := NewEncoder()
+	n := len(magic) + UvarintLen(h.Version) + BytesLen(len(h.Registry)) +
+		BytesLen(len(h.Config)) + BytesLen(len(payload)) + ChecksumSize
+	e := AppendEncoder(make([]byte, 0, n))
 	e.buf = append(e.buf, magic...)
 	e.Uvarint(h.Version)
 	e.String(h.Registry)
 	e.String(h.Config)
 	e.Bytes(payload)
-	sum := fnv64a(e.buf)
-	var tail [8]byte
-	binary.LittleEndian.PutUint64(tail[:], sum)
-	return append(e.buf, tail[:]...)
+	return AppendChecksum(e.buf, e.buf)
 }
 
 // Open validates a sealed snapshot's structure and checksum and returns its
@@ -136,11 +174,11 @@ func Seal(h Header, payload []byte) []byte {
 // the header to Check against their own expectation. All structural
 // failures wrap ErrCorrupt.
 func Open(data []byte) (Header, []byte, error) {
-	if len(data) < len(magic)+8 || string(data[:len(magic)]) != magic {
+	if len(data) < len(magic)+ChecksumSize || string(data[:len(magic)]) != magic {
 		return Header{}, nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
-	body, tail := data[:len(data)-8], data[len(data)-8:]
-	if fnv64a(body) != binary.LittleEndian.Uint64(tail) {
+	body, ok := SplitChecksum(data)
+	if !ok {
 		return Header{}, nil, fmt.Errorf("%w: checksum failed", ErrCorrupt)
 	}
 	d := NewDecoder(body[len(magic):])
@@ -166,6 +204,10 @@ type Encoder struct {
 
 // NewEncoder returns an empty encoder.
 func NewEncoder() *Encoder { return &Encoder{} }
+
+// AppendEncoder returns an encoder that appends to buf. Encoding into a
+// buffer with enough spare capacity does not allocate.
+func AppendEncoder(buf []byte) *Encoder { return &Encoder{buf: buf} }
 
 // Data returns the encoded bytes.
 func (e *Encoder) Data() []byte { return e.buf }

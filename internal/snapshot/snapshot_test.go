@@ -3,6 +3,7 @@ package snapshot
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -193,5 +194,64 @@ func TestDecoderStickyAndBounded(t *testing.T) {
 	d3 := NewDecoder([]byte{7})
 	if d3.Bool() || !errors.Is(d3.Err(), ErrCorrupt) {
 		t.Fatalf("bool byte 7 accepted: %v", d3.Err())
+	}
+}
+
+// TestChecksumIsCRC32C pins the trailer function to the standard CRC-32C
+// check value and its little-endian trailer layout.
+func TestChecksumIsCRC32C(t *testing.T) {
+	if got := Checksum([]byte("123456789")); got != 0xe3069283 {
+		t.Fatalf("Checksum = %#x, want the CRC-32C check value 0xe3069283", got)
+	}
+	framed := AppendChecksum([]byte("123456789"), []byte("123456789"))
+	if string(framed[9:]) != "\x83\x92\x06\xe3" {
+		t.Fatalf("trailer = %x", framed[9:])
+	}
+	if body, ok := SplitChecksum(framed); !ok || string(body) != "123456789" {
+		t.Fatalf("SplitChecksum = %q, %t", body, ok)
+	}
+	if _, ok := SplitChecksum(framed[:3]); ok {
+		t.Fatal("SplitChecksum accepted a blob shorter than its trailer")
+	}
+}
+
+// TestOpenRefusesOldEnvelope: a snapshot sealed by the previous build
+// ("CDSN" magic, FNV-64a trailer) is refused as bad magic, not misreported
+// as a failed checksum.
+func TestOpenRefusesOldEnvelope(t *testing.T) {
+	old := []byte("CDSN\x01\x06reg1-a\x06cfg1-b\x05state\x89\xfc\xf67\xe1\xf6\xa6\xc6")
+	_, _, err := Open(old)
+	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "bad magic") {
+		t.Fatalf("old envelope: err = %v, want ErrCorrupt bad magic", err)
+	}
+}
+
+// TestEncodedLengths pins the size helpers to what the encoder writes, at
+// every varint length boundary.
+func TestEncodedLengths(t *testing.T) {
+	for shift := 0; shift < 64; shift++ {
+		for _, u := range []uint64{1<<shift - 1, 1 << shift, 1<<shift + 1} {
+			e := NewEncoder()
+			e.Uvarint(u)
+			if got := UvarintLen(u); got != len(e.Data()) {
+				t.Fatalf("UvarintLen(%d) = %d, encoder wrote %d", u, got, len(e.Data()))
+			}
+			for _, v := range []int64{int64(u), -int64(u)} {
+				e := NewEncoder()
+				e.Varint(v)
+				if got := VarintLen(v); got != len(e.Data()) {
+					t.Fatalf("VarintLen(%d) = %d, encoder wrote %d", v, got, len(e.Data()))
+				}
+			}
+		}
+	}
+	e := NewEncoder()
+	e.Bytes(make([]byte, 200))
+	if got := BytesLen(200); got != len(e.Data()) {
+		t.Fatalf("BytesLen(200) = %d, encoder wrote %d", got, len(e.Data()))
+	}
+	h := Header{Version: 300, Registry: "reg1-a", Config: "cfg1-b"}
+	if blob := Seal(h, make([]byte, 1000)); cap(blob) != len(blob) {
+		t.Fatalf("Seal grew its buffer: len %d cap %d", len(blob), cap(blob))
 	}
 }
