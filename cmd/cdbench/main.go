@@ -73,7 +73,8 @@ type config struct {
 // monitorOpts translates the measurement-optimisation flags into monitor
 // options for the experiment runners. A positive -measure-cache-mb builds
 // one cache shared by every monitor in the run (the fleet-dedup
-// configuration; the cache is safe for concurrent engines).
+// configuration; the cache is safe for concurrent engines); otherwise each
+// monitor memoizes in its own.
 func (cfg config) monitorOpts() ([]cryptodrop.Option, error) {
 	var opts []cryptodrop.Option
 	if cfg.cacheMB > 0 {
@@ -106,7 +107,7 @@ func run(args []string) error {
 	fs.BoolVar(&cfg.quick, "quick", false, "reduced scale (800 files, 80 dirs, 1 sample per family/class)")
 	fs.IntVar(&cfg.workers, "workers", runtime.NumCPU(), "parallel sample workers")
 	fs.StringVar(&cfg.jsonOut, "json", "", "also export roster outcomes as JSON to this file")
-	fs.IntVar(&cfg.cacheMB, "measure-cache-mb", 0, "measurement memo cache shared across the run's monitors, in MiB (0 = off)")
+	fs.IntVar(&cfg.cacheMB, "measure-cache-mb", 0, "measurement memo cache shared across the run's monitors, in MiB (0 = each monitor keeps its own memo)")
 	fs.StringVar(&cfg.tier, "tier", "full", "measurement tier: full, or sampled for the two-tier ladder")
 	fs.IntVar(&cfg.sampleKB, "sample-kb", 0, "sampled-tier header sample size in KiB (0 = default 8)")
 	fs.BoolVar(&cfg.incremental, "incremental", false, "maintain incremental per-file entropy histograms")

@@ -399,11 +399,13 @@ func WithMeasureWorkers(n int) Option {
 // machine, for use with WithMeasureWorkers.
 func DefaultMeasureWorkers() int { return core.DefaultWorkers() }
 
-// WithMeasureCache memoizes file measurements in c: content already measured
-// anywhere sharing the cache is resolved by hash lookup instead of re-running
-// the digest and entropy kernels. Detections, scores and traces are
-// bit-identical with and without the cache. Create c with NewMeasureCache;
-// the same cache may back many monitors and host sessions at once.
+// WithMeasureCache memoizes file measurements in c instead of the monitor's
+// own 16 MiB memo: content already measured anywhere sharing the cache is
+// resolved by hash lookup instead of re-running the digest and entropy
+// kernels. Every monitor memoizes; this option only chooses the cache, so
+// one cache can back many monitors and host sessions at once. Detections,
+// scores and traces are bit-identical to unmemoized measurement. Create c
+// with NewMeasureCache.
 func WithMeasureCache(c *MeasureCache) Option {
 	return func(o *options) { o.cfg.MeasureCache = c }
 }

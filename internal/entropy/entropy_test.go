@@ -293,18 +293,6 @@ func TestDeltaTrackerCompressedFilesSmallButDetectable(t *testing.T) {
 	}
 }
 
-func BenchmarkShannon64K(b *testing.B) {
-	data := make([]byte, 64*1024)
-	for i := range data {
-		data[i] = byte(i * 31)
-	}
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Shannon(data)
-	}
-}
-
 func BenchmarkWeightedMeanAdd(b *testing.B) {
 	data := make([]byte, 4096)
 	for i := range data {

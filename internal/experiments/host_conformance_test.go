@@ -101,18 +101,21 @@ func expectStandalone(t *testing.T, spec corpus.Spec, w *hostWorkload) {
 // a standalone engine replaying the same stream — queued batched ingest
 // with backpressure changes nothing about the verdicts. Degradation is
 // disabled: it is a deliberate scoring-mode switch, covered by the overload
-// tests in internal/host. Run under -race in CI.
+// tests in internal/host. The host is the default one, so every session
+// memoizes in the host's own cache, while the standalone expectations are
+// computed by bare engines WITHOUT a cache: DeepEqual across scoreboards,
+// detections and flight traces proves memoized and unmemoized measurement
+// produce bit-identical verdicts even when 64 concurrent engines resolve
+// each other's measurements. Run under -race in CI.
 func TestHostConformance64Sessions(t *testing.T) {
-	hostConformance64(t, nil)
+	if st := hostConformance64(t, nil); st.Hits == 0 {
+		t.Fatalf("64 sessions over cycled identical traces hit the default host cache 0 times: %+v", st)
+	}
 }
 
 // TestHostConformance64SessionsMemoized repeats the 64-session conformance
-// run with a single host-wide measurement memo cache shared by every
-// session. The standalone expectations are computed WITHOUT a cache, so
-// DeepEqual across scoreboards, detections and flight traces proves
-// memoized and unmemoized measurement produce bit-identical verdicts even
-// when 64 concurrent engines resolve each other's measurements. Run under
-// -race in CI.
+// run with a caller-supplied cache, the host-sharing variant: the host must
+// use it instead of its own. Run under -race in CI.
 func TestHostConformance64SessionsMemoized(t *testing.T) {
 	cache := cryptodrop.NewMeasureCache(256 << 20)
 	hostConformance64(t, cache)
@@ -124,7 +127,9 @@ func TestHostConformance64SessionsMemoized(t *testing.T) {
 		st.Hits, st.Misses, st.Evictions, st.Entries, st.Bytes)
 }
 
-func hostConformance64(t *testing.T, cache *cryptodrop.MeasureCache) {
+// hostConformance64 runs the conformance check on a host given cache (nil:
+// the host's own) and returns the host's cache state afterwards.
+func hostConformance64(t *testing.T, cache *cryptodrop.MeasureCache) host.CacheSnapshot {
 	if testing.Short() {
 		t.Skip("64 sessions over captured traces")
 	}
@@ -255,4 +260,5 @@ func hostConformance64(t *testing.T, cache *cryptodrop.MeasureCache) {
 			}
 		}
 	}
+	return *h.Snapshot().Cache
 }

@@ -79,8 +79,13 @@ const (
 	DefaultDegradeAfter = 8
 )
 
+// defaultMeasureCacheBytes bounds the memo cache a host makes for itself
+// when Config.MeasureCache is nil: 16 MiB of cached measurement state.
+const defaultMeasureCacheBytes = 16 << 20
+
 // Config configures a Host. The zero value is usable: default queue depth,
-// default degrade threshold, no telemetry.
+// default degrade threshold, a host-owned measurement memo cache, no
+// telemetry.
 type Config struct {
 	// QueueDepth is the default per-session ingest queue capacity in
 	// batches; sessions may override it. Zero means DefaultQueueDepth.
@@ -90,12 +95,15 @@ type Config struct {
 	// sessions may override it. Zero means DefaultDegradeAfter; negative
 	// disables degradation host-wide.
 	DegradeAfter int
-	// MeasureCache, when set, is the host-wide measurement memo cache:
-	// every session whose SessionConfig.Engine does not name its own cache
-	// inherits this one, so identical content ingested by different tenants
-	// (a fleet over deduplicated corpora) is measured once host-wide. Sharing
-	// never changes verdicts — cached states are immutable and keyed by
-	// content hash plus measurement flavour.
+	// MeasureCache is the host-wide measurement memo cache: every session
+	// whose SessionConfig.Engine does not name its own cache inherits this
+	// one, so identical content ingested by different tenants (a fleet over
+	// deduplicated corpora) is measured once host-wide. Nil gives the host
+	// its own cache, bounded to 16 MiB; pass one cache to several hosts to
+	// share it between them. Memoization is always on: sharing never
+	// changes verdicts, because cached states are immutable and keyed by
+	// content plus measurement flavour. A tenant can observe another's hit
+	// only as verdict latency.
 	MeasureCache *measurecache.Cache
 	// Telemetry, when set, receives the host gauges and counters:
 	//
@@ -108,8 +116,8 @@ type Config struct {
 	//	host_session_events_total{session="id"}          counter
 	//	host_session_shed_bytes_total{session="id"}      counter
 	//
-	// With MeasureCache also set, the cache's counters are exported once at
-	// host level (not per session, since the cache is shared):
+	// The measurement cache's counters are exported once at host level (not
+	// per session, since the cache is shared):
 	//
 	//	host_measure_cache_hits_total / _misses_total / _evictions_total
 	//	host_measure_cache_entries / _bytes / _capacity_bytes    gauges
@@ -180,6 +188,9 @@ func New(cfg Config) *Host {
 	if cfg.DegradeAfter == 0 {
 		cfg.DegradeAfter = DefaultDegradeAfter
 	}
+	if cfg.MeasureCache == nil {
+		cfg.MeasureCache = measurecache.New(defaultMeasureCacheBytes)
+	}
 	h := &Host{
 		cfg:           cfg,
 		sessions:      make(map[string]*Session),
@@ -200,7 +211,7 @@ func New(cfg Config) *Host {
 // host-level series; registered once here, never per session, because the
 // cache is shared across every session in the host.
 func registerCacheGauges(reg *telemetry.Registry, c *measurecache.Cache) {
-	if reg == nil || c == nil {
+	if reg == nil {
 		return
 	}
 	reg.GaugeFunc("host_measure_cache_hits_total", func() float64 { return float64(c.Stats().Hits) })

@@ -96,8 +96,7 @@ type Snapshot struct {
 	// counts sessions that fell to payload-blind scoring.
 	BackpressureWaits int64 `json:"backpressureWaits"`
 	Degrades          int64 `json:"degrades"`
-	// Cache is the shared measurement cache's state, nil when the host has
-	// none.
+	// Cache is the host's measurement memo cache state; every host has one.
 	Cache *CacheSnapshot `json:"cache,omitempty"`
 	// SlowOpThresholdNs is the armed slow-op threshold (zero: log off);
 	// SlowOps the logged entries, oldest first; SlowOpsDropped how many
@@ -143,16 +142,13 @@ func (h *Host) Snapshot() Snapshot {
 		}
 		snap.Sessions = append(snap.Sessions, ss)
 	}
-	if c := h.cfg.MeasureCache; c != nil {
-		st := c.Stats()
-		cs := &CacheSnapshot{
-			Hits: st.Hits, Misses: st.Misses, Evictions: st.Evictions,
-			Entries: int64(st.Entries), Bytes: st.Bytes, Capacity: st.Capacity,
-		}
-		if total := st.Hits + st.Misses; total > 0 {
-			cs.HitRate = float64(st.Hits) / float64(total)
-		}
-		snap.Cache = cs
+	st := h.cfg.MeasureCache.Stats()
+	snap.Cache = &CacheSnapshot{
+		Hits: st.Hits, Misses: st.Misses, Evictions: st.Evictions,
+		Entries: int64(st.Entries), Bytes: st.Bytes, Capacity: st.Capacity,
+	}
+	if total := st.Hits + st.Misses; total > 0 {
+		snap.Cache.HitRate = float64(st.Hits) / float64(total)
 	}
 	if h.slow != nil {
 		snap.SlowOpThresholdNs = int64(h.slow.threshold)

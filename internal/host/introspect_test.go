@@ -11,6 +11,7 @@ import (
 
 	"cryptodrop/internal/core"
 	"cryptodrop/internal/measurecache"
+	"cryptodrop/internal/telemetry"
 )
 
 // attackSession bulk-encrypts `files` documents as pid 7 through sess — the
@@ -243,5 +244,69 @@ func TestSlowLogRingDropsOldest(t *testing.T) {
 	last := ops[len(ops)-1]
 	if last.Kind != "baseline" || last.Path != "/docs/x" || last.PID != 3 {
 		t.Fatalf("baseline op logged as %+v", last)
+	}
+}
+
+// TestDefaultHostMemoizes pins the default: a host built from the zero
+// Config owns one measurement memo cache that all its sessions share, so a
+// second session ingesting the first one's stream is served by cache hits.
+// /debug/sessions reports the cache, and with Telemetry set its counters
+// are exported as host_measure_cache_* series. A cache passed in is used
+// instead of the host's own.
+func TestDefaultHostMemoizes(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	h := New(Config{Telemetry: reg})
+	ecfg := core.DefaultConfig("/docs")
+	var dets []int
+	for _, id := range []string{"first", "second"} {
+		sess, err := h.Open(id, SessionConfig{Engine: ecfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		attackSession(t, sess, 12)
+		dets = append(dets, len(sess.Detections()))
+	}
+	if dets[0] == 0 || dets[0] != dets[1] {
+		t.Fatalf("detections per session = %v, want equal and non-zero", dets)
+	}
+
+	rec := httptest.NewRecorder()
+	h.IntrospectionHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/sessions", nil))
+	var snap Snapshot
+	if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
+		t.Fatal(err)
+	}
+	c := snap.Cache
+	if c == nil {
+		t.Fatal("/debug/sessions reports no cache for a default host")
+	}
+	if c.Hits == 0 || c.Misses == 0 || c.Entries == 0 || c.Capacity != defaultMeasureCacheBytes {
+		t.Fatalf("cache after two identical streams = %+v, want hits, misses, entries and a %d-byte capacity",
+			c, defaultMeasureCacheBytes)
+	}
+
+	g := reg.Snapshot().Gauges
+	for name, want := range map[string]float64{
+		"host_measure_cache_hits_total":      float64(c.Hits),
+		"host_measure_cache_misses_total":    float64(c.Misses),
+		"host_measure_cache_evictions_total": float64(c.Evictions),
+		"host_measure_cache_entries":         float64(c.Entries),
+		"host_measure_cache_bytes":           float64(c.Bytes),
+		"host_measure_cache_capacity_bytes":  float64(c.Capacity),
+	} {
+		if got, ok := g[name]; !ok || got != want {
+			t.Errorf("%s = %v (exported %v), want %v", name, got, ok, want)
+		}
+	}
+
+	own := measurecache.New(1 << 20)
+	h2 := New(Config{MeasureCache: own})
+	sess, err := h2.Open("s", SessionConfig{Engine: ecfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	attackSession(t, sess, 4)
+	if st := own.Stats(); st.Misses == 0 || h2.Snapshot().Cache.Capacity != 1<<20 {
+		t.Fatalf("injected cache unused: stats %+v, snapshot %+v", st, h2.Snapshot().Cache)
 	}
 }

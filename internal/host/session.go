@@ -201,7 +201,7 @@ func newSession(h *Host, id string, sc SessionConfig) (*Session, error) {
 	}
 	if sc.Engine.MeasureCache == nil {
 		// Sessions inherit the host-wide memo cache unless they bring their
-		// own (or the host has none either, leaving memoization off).
+		// own.
 		sc.Engine.MeasureCache = h.cfg.MeasureCache
 	}
 	if sc.Engine.SessionID == "" {
@@ -648,6 +648,11 @@ func (s *Session) Reports() []core.ProcessReport { return s.eng.Reports() }
 
 // Detections returns the session's detections in occurrence order.
 func (s *Session) Detections() []core.Detection { return s.eng.Detections() }
+
+// DetectionCount returns how many detections the session has raised,
+// including those restored from a checkpoint, without flushing the engine.
+// It counts only ops the worker has already applied, like Report.
+func (s *Session) DetectionCount() int64 { return s.detCount.Load() }
 
 // isClosed reports whether seal ran.
 func (s *Session) isClosed() bool {

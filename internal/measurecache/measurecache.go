@@ -1,147 +1,76 @@
 // Package measurecache provides a bounded, sharded LRU cache mapping file
 // content to its measured state, shared across the sessions of a detector
-// host. Identical bytes observed by many sessions — shared corpora,
-// deduplicated stores, fleet-wide ransom-note drops — are measured once:
-// the expensive kernels (magic sniff, full-file Shannon, sdhash digest) run
-// on the first sighting and every later sighting is a hash lookup.
+// host. Every host keeps one (host.Config.MeasureCache; a host given none
+// makes its own), so identical bytes observed by many sessions — shared
+// corpora, deduplicated stores, fleet-wide ransom-note drops — are measured
+// once: the expensive kernels (magic sniff, full-file Shannon, sdhash
+// digest) run on the first sighting and every later sighting is a hash
+// lookup.
 //
-// Entries are keyed by content, not by file identity: two 64-bit hashes
-// (FNV-1a and an XXH64-style mix) over the full content, the content
-// length, and a caller-chosen mode tag. The cache does not retain content
-// for full equality verification — see Key for the collision tradeoff.
+// Entries are keyed by content, not by file identity: two keyed 64-bit
+// hash/maphash sums over the full content, under two seeds drawn once per
+// process, plus the content length and a caller-chosen mode tag. The cache
+// does not retain content for full equality verification — see Key for the
+// collision tradeoff.
 package measurecache
 
 import (
 	"container/list"
+	"encoding/binary"
+	"hash/maphash"
 	"sync"
 	"sync/atomic"
 )
 
 // Key identifies cached content. Two different byte strings collide only if
-// they agree on both independent 64-bit hashes AND their length — a
-// probability on the order of 2^-128 per pair, far below any operational
-// concern (the host would need ~2^64 distinct file versions in flight for a
-// birthday collision to become likely). The cache deliberately does not
-// store content for byte-exact verification: doubling resident bytes to
-// guard against a 2^-128 event is the wrong trade for a detection-side
-// cache whose worst collision outcome is one file scored with another
-// file's measurement.
+// they agree on both 64-bit sums AND their length — a probability on the
+// order of 2^-128 per pair, far below any operational concern. The cache
+// deliberately does not store content for byte-exact verification: doubling
+// resident bytes to guard against a 2^-128 event is the wrong trade for a
+// detection-side cache whose worst collision outcome is one file scored
+// with another file's measurement.
+//
+// The sums are keyed. The cache is shared by every tenant of a host and
+// its keys are built from attacker-written bytes, so an unkeyed public hash
+// would let crafted content aim for a collision. The seeds are random per
+// process and never leave it: keys are not persisted, so nothing depends on
+// them being stable across restarts.
 //
 // Mode partitions the key space by measurement flavour (full vs sampled
 // tiers, prefix lengths), so a sampled-tier measurement can never be served
 // to a full-tier session.
 type Key struct {
-	h1   uint64 // FNV-1a over content
-	h2   uint64 // XXH64-style over content
-	len  int
-	mode uint32
+	h1, h2 uint64
+	len    int
+	mode   uint32
 }
+
+// seed1 and seed2 key the two sums; drawn once per process.
+var seed1, seed2 = maphash.MakeSeed(), maphash.MakeSeed()
 
 // KeyOf computes the cache key for content under the given mode tag.
 func KeyOf(content []byte, mode uint32) Key {
-	return Key{h1: fnv1a(content), h2: xxh64(content, 0), len: len(content), mode: mode}
+	return Key{h1: maphash.Bytes(seed1, content), h2: maphash.Bytes(seed2, content), len: len(content), mode: mode}
 }
 
-// KeyOfSeeded computes the cache key for content with an extra seed folded
-// into the second hash. Callers use it when the hashed bytes alone do not
-// determine the cached value — e.g. a header-sample measurement also depends
-// on the file's full size, which the seed carries into the key.
-func KeyOfSeeded(content []byte, seed uint64, mode uint32) Key {
-	return Key{h1: fnv1a(content), h2: xxh64(content, seed), len: len(content), mode: mode}
+// KeyOfSeeded computes the cache key for content with an extra value hashed
+// ahead of it. Callers use it when the hashed bytes alone do not determine
+// the cached value — e.g. a header-sample measurement also depends on the
+// file's full size, which extra carries into the key.
+func KeyOfSeeded(content []byte, extra uint64, mode uint32) Key {
+	return Key{h1: sumWith(seed1, extra, content), h2: sumWith(seed2, extra, content), len: len(content), mode: mode}
 }
 
-// fnv1a is the 64-bit FNV-1a hash.
-func fnv1a(data []byte) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, b := range data {
-		h = (h ^ uint64(b)) * prime64
-	}
-	return h
-}
-
-// XXH64 primes.
-const (
-	prime1 = 11400714785074694791
-	prime2 = 14029467366897019727
-	prime3 = 1609587929392839161
-	prime4 = 9650029242287828579
-	prime5 = 2870177450012600261
-)
-
-func rotl(x uint64, r uint) uint64 { return x<<r | x>>(64-r) }
-
-func round(acc, input uint64) uint64 {
-	acc += input * prime2
-	return rotl(acc, 31) * prime1
-}
-
-func mergeRound(acc, val uint64) uint64 {
-	acc ^= round(0, val)
-	return acc*prime1 + prime4
-}
-
-func u64(b []byte) uint64 {
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
-}
-
-func u32(b []byte) uint64 {
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24
-}
-
-// xxh64 is the XXH64 hash of data with the given seed — the second,
-// independently-mixed 64-bit view of the content. Implemented locally: the
-// container ships no third-party hash package, and the stdlib's 64-bit
-// options (FNV, CRC) are not independent enough of fnv1a's mixing to serve
-// as the second half of a 128-bit composite.
-func xxh64(data []byte, seed uint64) uint64 {
-	n := len(data)
-	var h uint64
-	if n >= 32 {
-		v1 := seed + prime1 + prime2
-		v2 := seed + prime2
-		v3 := seed
-		v4 := seed - prime1
-		for len(data) >= 32 {
-			v1 = round(v1, u64(data[0:8]))
-			v2 = round(v2, u64(data[8:16]))
-			v3 = round(v3, u64(data[16:24]))
-			v4 = round(v4, u64(data[24:32]))
-			data = data[32:]
-		}
-		h = rotl(v1, 1) + rotl(v2, 7) + rotl(v3, 12) + rotl(v4, 18)
-		h = mergeRound(h, v1)
-		h = mergeRound(h, v2)
-		h = mergeRound(h, v3)
-		h = mergeRound(h, v4)
-	} else {
-		h = seed + prime5
-	}
-	h += uint64(n)
-	for len(data) >= 8 {
-		h ^= round(0, u64(data[:8]))
-		h = rotl(h, 27)*prime1 + prime4
-		data = data[8:]
-	}
-	if len(data) >= 4 {
-		h ^= u32(data[:4]) * prime1
-		h = rotl(h, 23)*prime2 + prime3
-		data = data[4:]
-	}
-	for _, b := range data {
-		h ^= uint64(b) * prime5
-		h = rotl(h, 11) * prime1
-	}
-	h ^= h >> 33
-	h *= prime2
-	h ^= h >> 29
-	h *= prime3
-	h ^= h >> 32
-	return h
+// sumWith is the maphash sum of extra's eight little-endian bytes followed
+// by content.
+func sumWith(seed maphash.Seed, extra uint64, content []byte) uint64 {
+	var h maphash.Hash
+	h.SetSeed(seed)
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], extra)
+	h.Write(b[:])
+	h.Write(content)
+	return h.Sum64()
 }
 
 // shardCount is the number of independently locked cache shards (power of
@@ -154,6 +83,8 @@ type entry struct {
 	cost int64
 }
 
+// shard is one independently locked slice of the cache. Its map and list
+// are allocated on its first Put, so an idle cache holds no per-shard heap.
 type shard struct {
 	mu    sync.Mutex
 	m     map[Key]*list.Element
@@ -182,8 +113,6 @@ func New(maxBytes int64) *Cache {
 	c := &Cache{capacity: maxBytes}
 	per := maxBytes / shardCount
 	for i := range c.shards {
-		c.shards[i].m = make(map[Key]*list.Element)
-		c.shards[i].order = list.New()
 		c.shards[i].max = per
 	}
 	return c
@@ -223,6 +152,10 @@ func (c *Cache) Put(k Key, val any, cost int64) {
 	}
 	var evicted uint64
 	sh.mu.Lock()
+	if sh.m == nil {
+		sh.m = make(map[Key]*list.Element)
+		sh.order = list.New()
+	}
 	if el, ok := sh.m[k]; ok {
 		en := el.Value.(*entry)
 		sh.bytes += cost - en.cost

@@ -7,38 +7,78 @@ import (
 	"testing"
 )
 
-// TestXXH64Vectors pins the local XXH64 implementation against published
-// reference digests (seed 0), covering the short path, the 4/8-byte tail
-// folds, and the ≥32-byte lane loop.
-func TestXXH64Vectors(t *testing.T) {
-	cases := []struct {
-		in   string
-		want uint64
-	}{
-		{"", 0xEF46DB3751D8E999},
-		{"a", 0xD24EC4F1A98C6E5B},
-		{"abc", 0x44BC2CF5AD770999},
-		{"Nobody inspects the spammish repetition", 0xFBCEA83C8A378BF1},
+// TestKeyOfDiscriminates pins that content, length and mode all participate
+// in the key: every single-bit flip of a 4 KiB content, a length change and
+// a mode change each give a distinct key, and equal input gives equal keys.
+func TestKeyOfDiscriminates(t *testing.T) {
+	content := make([]byte, 4<<10)
+	rand.New(rand.NewSource(1)).Read(content)
+	base := KeyOf(content, 0)
+	if again := KeyOf(append([]byte(nil), content...), 0); again != base {
+		t.Fatal("identical input produced different keys")
 	}
-	for _, c := range cases {
-		if got := xxh64([]byte(c.in), 0); got != c.want {
-			t.Errorf("xxh64(%q) = %#x, want %#x", c.in, got, c.want)
+	seen := map[Key]int{base: -1}
+	for bit := 0; bit < len(content)*8; bit++ {
+		content[bit/8] ^= 1 << (bit % 8)
+		k := KeyOf(content, 0)
+		content[bit/8] ^= 1 << (bit % 8)
+		if prev, dup := seen[k]; dup {
+			t.Fatalf("flipping bit %d gives the key of flip %d", bit, prev)
 		}
+		seen[k] = bit
+	}
+	if k := KeyOf(content[:len(content)-1], 0); k == base {
+		t.Error("a shorter content produced an equal key")
+	}
+	if k := KeyOf(append(content, 0), 0); k == base {
+		t.Error("a zero-extended content produced an equal key")
+	}
+	if k := KeyOf(content, 1); k == base {
+		t.Error("distinct mode produced an equal key")
 	}
 }
 
-// TestKeyOfDiscriminates pins that content, length and mode all participate
-// in the key: distinct inputs yield distinct keys.
-func TestKeyOfDiscriminates(t *testing.T) {
-	a := KeyOf([]byte("hello world"), 0)
-	if b := KeyOf([]byte("hello worlc"), 0); a == b {
-		t.Error("distinct content produced equal keys")
+// TestKeyOfSeededDiscriminates pins that the extra value (a sample's full
+// file size) is part of the key: equal samples of files whose sizes differ
+// never share a key, and the seeded key never equals the plain one.
+func TestKeyOfSeededDiscriminates(t *testing.T) {
+	sample := make([]byte, 8<<10)
+	rand.New(rand.NewSource(2)).Read(sample)
+	a := KeyOfSeeded(sample, 64<<10, 2)
+	if b := KeyOfSeeded(append([]byte(nil), sample...), 64<<10, 2); a != b {
+		t.Fatal("identical input produced different keys")
 	}
-	if b := KeyOf([]byte("hello world"), 1); a == b {
-		t.Error("distinct mode produced equal keys")
+	for _, size := range []uint64{0, 8 << 10, 64<<10 + 1, 1 << 40} {
+		if b := KeyOfSeeded(sample, size, 2); a == b {
+			t.Errorf("full sizes 64 KiB and %d produced equal keys", size)
+		}
 	}
-	if b := KeyOf([]byte("hello world"), 0); a != b {
-		t.Error("identical input produced different keys")
+	if b := KeyOf(sample, 2); a == b {
+		t.Error("seeded and plain keys are equal")
+	}
+}
+
+// TestIdleCacheHoldsNoShardHeap pins lazy shards: a new cache, and one that
+// has only been read, allocates no shard map or list; a Put allocates its
+// own shard only.
+func TestIdleCacheHoldsNoShardHeap(t *testing.T) {
+	c := New(1 << 20)
+	k := KeyOf([]byte("content"), 0)
+	c.Get(k)
+	c.Stats()
+	for i := range c.shards {
+		if c.shards[i].m != nil || c.shards[i].order != nil {
+			t.Fatalf("idle shard %d allocated", i)
+		}
+	}
+	c.Put(k, "v", 1)
+	for i := range c.shards {
+		if got, want := c.shards[i].m != nil, &c.shards[i] == c.shard(k); got != want {
+			t.Errorf("shard %d allocated = %v, want %v", i, got, want)
+		}
+	}
+	if v, ok := c.Get(k); !ok || v.(string) != "v" {
+		t.Fatalf("got %v %v", v, ok)
 	}
 }
 
@@ -160,6 +200,9 @@ func TestConcurrentAccess(t *testing.T) {
 	}
 }
 
+// keySink keeps the benchmarked key computations live.
+var keySink Key
+
 func BenchmarkKeyOf(b *testing.B) {
 	for _, size := range []int{4 << 10, 64 << 10, 1 << 20} {
 		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {
@@ -168,8 +211,19 @@ func BenchmarkKeyOf(b *testing.B) {
 			b.SetBytes(int64(size))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				KeyOf(data, 0)
+				keySink = KeyOf(data, 0)
 			}
 		})
 	}
+	// The sampled tier's key: an 8 KiB header sample with the full size
+	// hashed ahead of it.
+	b.Run("seeded/size=8192", func(b *testing.B) {
+		data := make([]byte, 8<<10)
+		rand.New(rand.NewSource(4)).Read(data)
+		b.SetBytes(int64(len(data)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			keySink = KeyOfSeeded(data, 1<<20, 2)
+		}
+	})
 }

@@ -27,7 +27,7 @@ func benchInput(size int) []byte {
 }
 
 func BenchmarkSdhashCompute(b *testing.B) {
-	for _, size := range []int{4 << 10, 64 << 10, 1 << 20} {
+	for _, size := range []int{4 << 10, 32 << 10, 64 << 10, 1 << 20} {
 		b.Run(fmt.Sprintf("size=%dKiB", size>>10), func(b *testing.B) {
 			data := benchInput(size)
 			b.SetBytes(int64(size))

@@ -274,17 +274,6 @@ func TestPrecedenceShape(t *testing.T) {
 	}
 }
 
-func BenchmarkCompute32K(b *testing.B) {
-	data := genText(20, 32*1024)
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Compute(data); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkCompare(b *testing.B) {
 	d1, err := Compute(genText(21, 32*1024))
 	if err != nil {

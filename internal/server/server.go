@@ -55,7 +55,8 @@ type Options struct {
 	Telemetry *telemetry.Registry
 	// Flight and Tracer back /debug/flight and /debug/trace; may be nil.
 	Flight *telemetry.FlightRecorder
-	// Tracer may be nil.
+	// Tracer, when set, is every session engine's span tracer, so the
+	// sampled ops of streamed sessions appear on /debug/trace. May be nil.
 	Tracer *telemetry.SpanTracer
 	// OverloadRetryAfter is the wait hinted on a 429 from a saturated ingest
 	// queue (a rate-limit 429 computes its own). Default 500ms.
@@ -191,8 +192,10 @@ func (s *Server) session(t *config.Tenant, name string) (*sessionState, error) {
 	if st, ok := s.sessions[key]; ok {
 		return st, nil
 	}
+	ecfg := core.DefaultConfig(s.opts.ProtectedRoot)
+	ecfg.SpanTracer = s.opts.Tracer
 	sess, err := s.host.Open(key, host.SessionConfig{
-		Engine:       core.DefaultConfig(s.opts.ProtectedRoot),
+		Engine:       ecfg,
 		QueueDepth:   t.QueueDepth,
 		DegradeAfter: t.DegradeAfter,
 	})
@@ -232,7 +235,7 @@ func (st *sessionState) ackFor(session string) wire.Ack {
 		Accepted:   accepted,
 		Ingested:   st.sess.Ingested(),
 		Degraded:   st.sess.Degraded(),
-		Detections: int64(len(st.sess.Detections())),
+		Detections: st.sess.DetectionCount(),
 	}
 }
 
