@@ -6,6 +6,8 @@
 // buffer as a Chrome trace (/debug/trace).
 //
 //	cdhost -dir ~/Documents -dir ~/Pictures          # watch two roots
+//	cdhost -dir ~/Documents -inotify                 # Linux inotify instead
+//	                                                 # of polling
 //	cdhost -selftest                                 # stage three corpora,
 //	                                                 # encrypt one, show that
 //	                                                 # only its session alerts
@@ -69,6 +71,7 @@ func run(args []string) error {
 	fs.Var(&dirs, "dir", "directory to watch as one session (repeatable)")
 	var (
 		interval    = fs.Duration("interval", time.Second, "poll interval per session")
+		useInotify  = fs.Bool("inotify", false, "use the Linux inotify source instead of polling (Linux only)")
 		queue       = fs.Int("queue", host.DefaultQueueDepth, "per-session ingest queue depth (batches)")
 		selftest    = fs.Bool("selftest", false, "stage three corpora, encrypt one, show per-session verdicts")
 		telAddr     = fs.String("telemetry", "", "serve /metrics, /debug/vars, /debug/sessions and pprof on this address (e.g. :9090)")
@@ -89,6 +92,7 @@ func run(args []string) error {
 	}
 	cfg := watchConfig{
 		interval:  *interval,
+		inotify:   *useInotify,
 		queue:     *queue,
 		reg:       telemetry.NewRegistry(),
 		telAddr:   *telAddr,
@@ -131,6 +135,7 @@ func run(args []string) error {
 type watchConfig struct {
 	dirs     []string
 	interval time.Duration
+	inotify  bool
 	queue    int
 	reg      *telemetry.Registry
 	telAddr  string
@@ -162,13 +167,12 @@ func sessionID(root string, taken map[string]bool) string {
 	return id
 }
 
-// roster couples one watched root to its session and feeder.
+// roster couples one watched root's event source to its session and feeder.
 type roster struct {
-	id      string
-	root    string
-	scanner *livewatch.Scanner
-	feeder  *livewatch.Feeder
-	sess    *host.Session
+	id     string
+	src    livewatch.Source
+	feeder *livewatch.Feeder
+	sess   *host.Session
 }
 
 // watch multiplexes the configured roots through one host until interrupted
@@ -212,6 +216,15 @@ func watch(cfg watchConfig) error {
 	rosters := make([]*roster, 0, len(cfg.dirs))
 	for _, dir := range cfg.dirs {
 		id := sessionID(dir, taken)
+		var src livewatch.Source = livewatch.NewScanner(dir)
+		if cfg.inotify {
+			in, err := livewatch.NewInotifyScanner(dir)
+			if err != nil {
+				return fmt.Errorf("-inotify: %w", err)
+			}
+			defer in.Close()
+			src = in
+		}
 		ecfg := core.DefaultConfig("")
 		ecfg.SpanTracer = cfg.spans
 		if cfg.sink != nil {
@@ -233,12 +246,7 @@ func watch(cfg watchConfig) error {
 		if err != nil {
 			return fmt.Errorf("open session %q: %w", id, err)
 		}
-		rosters = append(rosters, &roster{
-			id: id, root: dir,
-			scanner: livewatch.NewScanner(dir),
-			feeder:  livewatch.NewFeeder(sess),
-			sess:    sess,
-		})
+		rosters = append(rosters, &roster{id: id, src: src, feeder: livewatch.NewFeeder(sess), sess: sess})
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -246,38 +254,24 @@ func watch(cfg watchConfig) error {
 
 	fmt.Printf("baselining %d roots...\n", len(rosters))
 	for _, r := range rosters {
-		if _, err := r.scanner.Scan(); err != nil {
+		if _, err := r.src.Scan(); err != nil {
 			return fmt.Errorf("session %q: baseline: %w", r.id, err)
 		}
-		if err := r.feeder.PrimeTree(ctx, r.root); err != nil {
+		if err := r.feeder.PrimeTree(ctx, r.src.Root()); err != nil {
 			return fmt.Errorf("session %q: prime: %w", r.id, err)
 		}
 	}
 
 	// One poller goroutine per session: scan, translate, submit. A slow or
 	// overloaded session blocks only its own poller (backpressure), never
-	// its siblings.
+	// its siblings. A poller ends when the context is cancelled or its
+	// session closes.
 	var wg sync.WaitGroup
 	for _, r := range rosters {
 		wg.Add(1)
 		go func(r *roster) {
 			defer wg.Done()
-			ticker := time.NewTicker(cfg.interval)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-ticker.C:
-					events, err := r.scanner.Scan()
-					if err != nil {
-						continue
-					}
-					if err := r.feeder.Apply(ctx, events); err != nil {
-						return // session closed or context cancelled
-					}
-				}
-			}
+			_ = r.feeder.Watch(ctx, r.src, cfg.interval)
 		}(r)
 	}
 	defer wg.Wait()

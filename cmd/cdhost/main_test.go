@@ -5,6 +5,8 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 
 	"cryptodrop/internal/audit"
@@ -93,6 +95,31 @@ func TestSelftestObservabilityOutputs(t *testing.T) {
 	}
 	if b.TimeToDetectionNs <= 0 {
 		t.Fatalf("time-to-detection %d, want > 0 (timestamps enabled)", b.TimeToDetectionNs)
+	}
+}
+
+// TestSelftestInotify runs the three-root selftest on the Linux inotify
+// source: only the encrypted root's session may alert (the selftest errors
+// otherwise). Off Linux the flag must fail with the platform error.
+func TestSelftestInotify(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full selftest cycle")
+	}
+	err := run([]string{"-selftest", "-inotify", "-interval", "50ms"})
+	if runtime.GOOS != "linux" {
+		if err == nil || !strings.Contains(err.Error(), "only available on Linux") {
+			t.Fatalf("-inotify off Linux: err = %v, want the Linux-only error", err)
+		}
+		return
+	}
+	if err != nil {
+		t.Fatalf("inotify selftest: %v", err)
+	}
+}
+
+func TestBadFlag(t *testing.T) {
+	if err := run([]string{"-nope"}); err == nil {
+		t.Fatal("bad flag accepted")
 	}
 }
 

@@ -43,9 +43,9 @@
 // The service sentinels round-trip the wire: a remote producer using the
 // ingest client gets the same errors.Is behaviour as an in-process caller
 // (ErrOverloaded on a saturated queue, ErrSessionClosed on a gone session,
-// and so on). Context-first methods are the canonical surface; the
-// context-free spellings (Monitor.Close, Host.Close, Host.EvictIdle) remain
-// as deprecated wrappers.
+// and so on). Lifecycle methods are context-first: Monitor.Shutdown,
+// Host.CloseSession and Host.EvictIdleSessions bound their drains by a
+// context.
 package cryptodrop
 
 import (
@@ -347,16 +347,6 @@ func WithUnionDisabled() Option {
 // with plain byte weighting (ablation studies).
 func WithUnweightedEntropy() Option {
 	return func(o *options) { o.cfg.UnweightedEntropy = true }
-}
-
-// WithDisabledIndicators suppresses the listed indicators (ablation
-// studies).
-//
-// Deprecated: compose the registry instead —
-// WithIndicators(DefaultIndicators().Without(inds...)) is the same
-// subtraction made explicit, and it composes with custom registries.
-func WithDisabledIndicators(inds ...Indicator) Option {
-	return func(o *options) { o.cfg.DisabledIndicators = append(o.cfg.DisabledIndicators, inds...) }
 }
 
 // WithIndicators sets the engine's indicator registry, replacing the
@@ -737,12 +727,4 @@ func (m *Monitor) Shutdown(ctx context.Context) (SessionReport, error) {
 		return SessionReport{}, fmt.Errorf("monitor: %w", ErrSessionClosed)
 	}
 	return reports[0], nil
-}
-
-// Close shuts the monitor down with no deadline.
-//
-// Deprecated: use Shutdown — the context-first surface bounds how long the
-// final flush and checkpoint may take.
-func (m *Monitor) Close() (SessionReport, error) {
-	return m.Shutdown(context.Background())
 }

@@ -27,8 +27,8 @@ import (
 //
 // Create an Engine with New and feed it Events through PreEvent/Handle —
 // directly, or via one of the backend adapters (internal/vfsadapter for the
-// filter chain, livewatch.Analyzer for a real directory, trace.EventReplayer
-// for recorded streams). All methods are safe for concurrent use. The
+// filter chain, livewatch.Feeder through a host session for a real
+// directory, trace.EventReplayer for recorded streams). All methods are safe for concurrent use. The
 // scoreboard is sharded by scoring-group PID and the file-state cache by
 // file ID, so operations from distinct processes on distinct files never
 // contend on a shared lock; see DESIGN.md ("Concurrency model") for the

@@ -595,7 +595,7 @@ func TestCheckpointOnShutdownAndErrors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := h3.Close(id); err != nil {
+		if _, err := h3.CloseSession(context.Background(), id); err != nil {
 			t.Fatal(err)
 		}
 		if err := s3.Checkpoint(context.Background()); !errors.Is(err, ErrSessionClosed) {

@@ -14,19 +14,19 @@
 // row) degrades the session, exactly once, to payload-blind scoring: the
 // worker strips read/write payload bytes (counted in shed-bytes telemetry)
 // and the engine switches to the NewCipherWithoutDelta rule, the same
-// scoring mode livewatch uses when payloads are unobservable. Detection
-// keeps working on file-content measurement alone; only the payload-level
-// entropy-delta and funneling signals go quiet. TrySubmit is the
-// non-blocking variant for producers that would rather see ErrOverloaded
-// than wait.
+// scoring mode livewatch.FeederSessionConfig selects for live directories,
+// whose payloads are unobservable. Detection keeps working on file-content
+// measurement alone; only the payload-level entropy-delta and funneling
+// signals go quiet. TrySubmit is the non-blocking variant for producers
+// that would rather see ErrOverloaded than wait.
 //
 // # Lifecycle
 //
-// Open creates and starts a session; Close seals its queue, drains it, and
-// returns a final SessionReport (scoreboard snapshots, detections, ingest
-// and degrade accounting). EvictIdle closes every session that has been
-// quiet longer than a deadline, and Shutdown seals all sessions at once and
-// drains them under a context. A sealed session rejects further submissions
+// Open creates and starts a session; CloseSession seals its queue, drains
+// it, and returns a final SessionReport (scoreboard snapshots, detections,
+// ingest and degrade accounting). EvictIdleSessions closes every session
+// that has been quiet longer than a deadline, and Shutdown seals all
+// sessions at once. All three drain under a context. A sealed session rejects further submissions
 // with ErrSessionClosed but never loses what was already queued.
 //
 // # Errors
@@ -34,7 +34,7 @@
 // All failures wrap one of the package sentinels, so callers dispatch with
 // errors.Is:
 //
-//	ErrSessionClosed   submit/flush on a session that Close/EvictIdle/Shutdown sealed
+//	ErrSessionClosed   submit/flush on a session that CloseSession/EvictIdleSessions/Shutdown sealed
 //	ErrOverloaded      TrySubmit found the session's ingest queue full
 //	ErrSessionExists   Open with a session ID already in use
 //	ErrHostClosed      Open on a host after Shutdown
@@ -283,14 +283,6 @@ func (h *Host) CloseSession(ctx context.Context, id string) (SessionReport, erro
 	return s.finalReport(), nil
 }
 
-// Close is CloseSession without a deadline.
-//
-// Deprecated: use CloseSession — the public ingest surface is context-first,
-// so drains can be bounded like every other blocking call.
-func (h *Host) Close(id string) (SessionReport, error) {
-	return h.CloseSession(context.Background(), id)
-}
-
 // detach removes the session from the registry (so its ID is immediately
 // reusable) and drops its per-session telemetry series.
 func (h *Host) detach(id string) (*Session, error) {
@@ -346,15 +338,6 @@ func (h *Host) EvictIdleSessions(ctx context.Context, idle time.Duration) ([]Ses
 	}
 	sort.Slice(reports, func(i, j int) bool { return reports[i].ID < reports[j].ID })
 	return reports, err
-}
-
-// EvictIdle is EvictIdleSessions without a deadline.
-//
-// Deprecated: use EvictIdleSessions — the public ingest surface is
-// context-first, so drains can be bounded like every other blocking call.
-func (h *Host) EvictIdle(idle time.Duration) []SessionReport {
-	reports, _ := h.EvictIdleSessions(context.Background(), idle)
-	return reports
 }
 
 // Shutdown seals every session at once (so their workers drain in

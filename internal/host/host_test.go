@@ -205,8 +205,8 @@ func TestSubmitResetsSaturationStreak(t *testing.T) {
 	}
 }
 
-// TestSessionLifecycle covers Open/Get/Close/EvictIdle/Shutdown and the
-// typed sentinel errors on every misuse.
+// TestSessionLifecycle covers Open/Get/CloseSession/EvictIdleSessions/
+// Shutdown and the typed sentinel errors on every misuse.
 func TestSessionLifecycle(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	h := New(Config{Telemetry: reg})
@@ -272,7 +272,7 @@ func TestSessionLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(evicted) != 3 {
-		t.Fatalf("EvictIdle(0) evicted %d sessions, want 3", len(evicted))
+		t.Fatalf("EvictIdleSessions(0) evicted %d sessions, want 3", len(evicted))
 	}
 	for _, r := range evicted {
 		if r.ID == "b" && r.Ingested != 1 {
@@ -280,7 +280,7 @@ func TestSessionLifecycle(t *testing.T) {
 		}
 	}
 	if len(h.Sessions()) != 0 {
-		t.Fatal("sessions remain after EvictIdle(0)")
+		t.Fatal("sessions remain after EvictIdleSessions(0)")
 	}
 
 	// Per-session telemetry series are unregistered on close.

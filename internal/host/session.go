@@ -60,8 +60,8 @@ type SessionConfig struct {
 type Op struct {
 	// Event is the operation handed to Engine.Handle. An Op with a zero
 	// Event.Kind runs only its PreEvent side — a baseline-only op, used to
-	// snapshot a file's previous version without scoring anything (the
-	// queued equivalent of livewatch's Prime).
+	// snapshot a file's previous version without scoring anything (what
+	// livewatch.Feeder.Prime submits).
 	Event core.Event
 	// PreEvent, when non-nil, is handed to Engine.PreEvent instead of
 	// Event. Producers use it when the two sides of the pair differ — e.g.

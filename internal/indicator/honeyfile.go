@@ -17,8 +17,8 @@ type HoneyfileUnit struct {
 
 // NewHoneyfile returns a honeyfile unit guarding exactly the given decoy
 // paths. Paths are matched verbatim against event paths, so plant and guard
-// through the same path convention (livewatch uses absolute paths; the VFS
-// backend uses root-relative ones).
+// through the same path convention (the live-watch Feeder submits absolute
+// paths; the VFS backend uses root-relative ones).
 func NewHoneyfile(paths ...string) *HoneyfileUnit {
 	u := &HoneyfileUnit{paths: make(map[string]bool, len(paths))}
 	for _, p := range paths {

@@ -1,17 +1,19 @@
 package livewatch_test
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
 
 	"cryptodrop/internal/core"
+	"cryptodrop/internal/host"
 	"cryptodrop/internal/livewatch"
 )
 
-// ExampleAnalyzer scores a simulated bulk encryption of a real directory
-// without the background watcher, driving the scanner by hand.
-func ExampleAnalyzer() {
+// ExampleFeeder scores a simulated bulk encryption of a real directory
+// through a synchronous host session, feeding each change by hand.
+func ExampleFeeder() {
 	dir, err := os.MkdirTemp("", "livewatch-example-")
 	if err != nil {
 		fmt.Println("tempdir:", err)
@@ -39,12 +41,21 @@ func ExampleAnalyzer() {
 	alerted := false
 	ecfg := core.DefaultConfig("")
 	ecfg.NonUnionThreshold = 100
-	a := livewatch.NewAnalyzer(livewatch.AnalyzerConfig{
-		Engine:  &ecfg,
-		OnAlert: func(livewatch.Alert) { alerted = true },
-	})
-	for _, p := range paths {
-		a.Prime(p)
+	ecfg.OnDetection = func(core.Detection) { alerted = true }
+	sc := livewatch.FeederSessionConfig(&ecfg)
+	sc.Direct = true // score every change before Submit returns
+	h := host.New(host.Config{})
+	defer h.Shutdown(context.Background())
+	sess, err := h.Open("docs", sc)
+	if err != nil {
+		fmt.Println("open:", err)
+		return
+	}
+	f := livewatch.NewFeeder(sess)
+	ctx := context.Background()
+	if err := f.PrimeTree(ctx, dir); err != nil {
+		fmt.Println("prime:", err)
+		return
 	}
 
 	// "Ransomware" rewrites every document as keystream bytes.
@@ -57,10 +68,14 @@ func ExampleAnalyzer() {
 			state ^= state << 17
 			enc[i] = byte(state)
 		}
-		a.ApplyChange(p, enc, livewatch.EventModified)
+		if err := f.Change(ctx, p, enc, livewatch.EventModified); err != nil {
+			fmt.Println("change:", err)
+			return
+		}
 	}
+	rep := sess.Reports()[0]
 	fmt.Println("alerted:", alerted)
-	fmt.Println("union indication:", a.Union())
+	fmt.Println("union indication:", rep.Union)
 	// Output:
 	// alerted: true
 	// union indication: true

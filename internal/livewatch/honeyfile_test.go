@@ -32,11 +32,11 @@ func TestPlantHoneyfilesIdempotent(t *testing.T) {
 	}
 }
 
-// TestHoneyfileAlertsWatcher wires planted decoys into a live analyzer: one
+// TestHoneyfileAlertsFeeder wires planted decoys into a live session: one
 // modification of a decoy alerts instantly, attributed to the honeyfile
 // indicator — the content-free signal a payload-blind watcher keeps even
 // when every content measurement is unavailable.
-func TestHoneyfileAlertsWatcher(t *testing.T) {
+func TestHoneyfileAlertsFeeder(t *testing.T) {
 	dir := writeTree(t, 6)
 	decoys, err := PlantHoneyfiles(dir)
 	if err != nil {
@@ -44,21 +44,21 @@ func TestHoneyfileAlertsWatcher(t *testing.T) {
 	}
 	cfg := core.DefaultConfig("")
 	cfg.Indicators = indicator.Default().With(indicator.NewHoneyfile(decoys...))
-	var alerts []Alert
-	a := NewAnalyzer(AnalyzerConfig{Engine: &cfg, OnAlert: func(al Alert) { alerts = append(alerts, al) }})
+	var alerts []core.Detection
+	cfg.OnDetection = func(d core.Detection) { alerts = append(alerts, d) }
+	f, sess := newFeeder(t, &cfg)
 
 	encryptFile(t, decoys[0])
 	content, err := os.ReadFile(decoys[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.ApplyChange(decoys[0], content, EventModified)
+	change(t, f, decoys[0], content, EventModified)
 
-	if !a.Alerted() || len(alerts) != 1 {
-		t.Fatalf("decoy touch did not alert (alerted=%v, alerts=%d)", a.Alerted(), len(alerts))
+	if len(sess.Detections()) != 1 || len(alerts) != 1 {
+		t.Fatalf("decoy touch did not alert (detections=%d, alerts=%d)", len(sess.Detections()), len(alerts))
 	}
-	rep := a.Report()
-	if rep.IndicatorPoints[core.IndicatorHoneyfile] <= 0 {
+	if rep := report(sess); rep.IndicatorPoints[core.IndicatorHoneyfile] <= 0 {
 		t.Fatalf("alert not attributed to honeyfile: %v", rep.IndicatorPoints)
 	}
 }

@@ -16,8 +16,8 @@ import (
 // InotifyScanner is the Linux fast path: instead of polling the whole tree,
 // it subscribes to kernel inotify events for every directory under the
 // root (recursively, following newly created directories) and drains the
-// accumulated events on each Scan call. It exposes the same Scan() API as
-// the portable Scanner, so the Watcher logic is unchanged.
+// accumulated events on each Scan call. It is a Source like the portable
+// Scanner, so a Feeder consumes either unchanged.
 type InotifyScanner struct {
 	root string
 	fd   int

@@ -3,6 +3,7 @@
 package livewatch
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -96,7 +97,7 @@ func TestInotifyScannerFollowsNewDirectories(t *testing.T) {
 	}
 }
 
-func TestInotifyWithAnalyzerDetectsAttack(t *testing.T) {
+func TestInotifyWithFeederDetectsAttack(t *testing.T) {
 	dir := writeTree(t, 40)
 	s, err := NewInotifyScanner(dir)
 	if err != nil {
@@ -104,24 +105,24 @@ func TestInotifyWithAnalyzerDetectsAttack(t *testing.T) {
 	}
 	defer s.Close()
 
-	a := NewAnalyzer(AnalyzerConfig{})
-	for _, p := range listFiles(t, dir) {
-		a.Prime(p)
-	}
+	f, sess := newFeeder(t, nil)
+	primeFiles(t, f, listFiles(t, dir))
 	for _, p := range listFiles(t, dir) {
 		encryptFile(t, p)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) && !a.Alerted() {
+	for time.Now().Before(deadline) && len(sess.Detections()) == 0 {
 		events, err := s.Scan()
 		if err != nil {
 			t.Fatal(err)
 		}
-		a.Apply(events)
+		if err := f.Apply(context.Background(), events); err != nil {
+			t.Fatal(err)
+		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if !a.Alerted() {
-		t.Fatalf("no alert via inotify (score %.1f)", a.Score())
+	if len(sess.Detections()) == 0 {
+		t.Fatalf("no alert via inotify (score %.1f)", report(sess).Score)
 	}
 }
 

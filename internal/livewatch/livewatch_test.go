@@ -1,7 +1,9 @@
 package livewatch
 
 import (
+	"context"
 	"crypto/rand"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -10,7 +12,62 @@ import (
 
 	"cryptodrop/internal/core"
 	"cryptodrop/internal/corpus"
+	"cryptodrop/internal/host"
+	"cryptodrop/internal/telemetry"
 )
+
+// newFeeder opens a Direct host session with FeederSessionConfig(ecfg) — so
+// every Submit is scored before it returns — and binds a feeder to it.
+func newFeeder(t *testing.T, ecfg *core.Config) (*Feeder, *host.Session) {
+	t.Helper()
+	sc := FeederSessionConfig(ecfg)
+	sc.Direct = true
+	h := host.New(host.Config{})
+	sess, err := h.Open("live", sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _, _ = h.Shutdown(context.Background()) })
+	return NewFeeder(sess), sess
+}
+
+// report returns the session's scoreboard for the tree's single actor.
+func report(sess *host.Session) core.ProcessReport {
+	rep, _ := sess.Report(actorPID)
+	return rep
+}
+
+// primeFiles baselines each file from its current on-disk content.
+func primeFiles(t *testing.T, f *Feeder, files []string) {
+	t.Helper()
+	for _, p := range files {
+		content, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Prime(context.Background(), p, content); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// deleteN scores n deletions of files the actor did not create.
+func deleteN(t *testing.T, f *Feeder, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		if err := f.Delete(context.Background(), "/x/"+string(rune('a'+i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// change feeds one created/modified file's new content.
+func change(t *testing.T, f *Feeder, path string, content []byte, kind EventKind) {
+	t.Helper()
+	if err := f.Change(context.Background(), path, content, kind); err != nil {
+		t.Fatal(err)
+	}
+}
 
 // writeTree materialises a small corpus into a real temp directory.
 func writeTree(t *testing.T, n int) string {
@@ -115,15 +172,20 @@ func TestScannerDetectsChanges(t *testing.T) {
 	}
 }
 
-func TestAnalyzerAlertsOnBulkEncryption(t *testing.T) {
+// TestFeederAlertsOnBulkEncryption also pins that the feeder stages every
+// byte the engine measures: the session never falls back to reading content
+// it was not given, so the engine records no content-read failures.
+func TestFeederAlertsOnBulkEncryption(t *testing.T) {
 	dir := writeTree(t, 40)
 	files := listFiles(t, dir)
 
 	alerted := false
-	a := NewAnalyzer(AnalyzerConfig{OnAlert: func(al Alert) { alerted = true }})
-	for _, p := range files {
-		a.Prime(p)
-	}
+	reg := telemetry.NewRegistry()
+	ecfg := core.DefaultConfig("")
+	ecfg.Telemetry = reg
+	ecfg.OnDetection = func(core.Detection) { alerted = true }
+	f, sess := newFeeder(t, &ecfg)
+	primeFiles(t, f, files)
 	s := NewScanner(dir)
 	if _, err := s.Scan(); err != nil {
 		t.Fatal(err)
@@ -139,22 +201,27 @@ func TestAnalyzerAlertsOnBulkEncryption(t *testing.T) {
 	if len(events) == 0 {
 		t.Fatal("no events after encryption")
 	}
-	a.Apply(events)
-	if !a.Alerted() || !alerted {
-		t.Fatalf("no alert after bulk encryption (score %.1f)", a.Score())
+	if err := f.Apply(context.Background(), events); err != nil {
+		t.Fatal(err)
 	}
-	if !a.Union() {
-		t.Fatalf("union indication missing (score %.1f)", a.Score())
+	rep := report(sess)
+	if len(sess.Detections()) == 0 || !alerted {
+		t.Fatalf("no alert after bulk encryption (score %.1f)", rep.Score)
+	}
+	if !rep.Union {
+		t.Fatalf("union indication missing (score %.1f)", rep.Score)
+	}
+	const series = "engine_content_read_failures_total"
+	if got := reg.Counter(series).Value(); got != 0 {
+		t.Fatalf("%s = %d: the engine read content the feeder did not stage", series, got)
 	}
 }
 
-func TestAnalyzerQuietOnBenignEdits(t *testing.T) {
+func TestFeederQuietOnBenignEdits(t *testing.T) {
 	dir := writeTree(t, 30)
 	files := listFiles(t, dir)
-	a := NewAnalyzer(AnalyzerConfig{})
-	for _, p := range files {
-		a.Prime(p)
-	}
+	f, sess := newFeeder(t, nil)
+	primeFiles(t, f, files)
 	// Benign edits: append same-type content to a few files.
 	for i, p := range files {
 		if i >= 5 {
@@ -165,160 +232,179 @@ func TestAnalyzerQuietOnBenignEdits(t *testing.T) {
 			t.Fatal(err)
 		}
 		content = append(content, []byte(" appended note about the meeting")...)
-		a.ApplyChange(p, content, EventModified)
+		change(t, f, p, content, EventModified)
 	}
-	if a.Alerted() {
-		t.Fatalf("alert on benign edits (score %.1f)", a.Score())
+	score := report(sess).Score
+	if len(sess.Detections()) != 0 {
+		t.Fatalf("alert on benign edits (score %.1f)", score)
 	}
-	if a.Score() > 50 {
-		t.Fatalf("benign edit score %.1f too high", a.Score())
+	if score > 50 {
+		t.Fatalf("benign edit score %.1f too high", score)
 	}
 }
 
-func TestAnalyzerDeletionsScore(t *testing.T) {
-	a := NewAnalyzer(AnalyzerConfig{})
-	for i := 0; i < 10; i++ {
-		a.applyDelete("/x/" + string(rune('a'+i)))
-	}
+func TestFeederDeletionsScore(t *testing.T) {
+	f, sess := newFeeder(t, nil)
+	deleteN(t, f, 10)
 	// Deleting pre-existing user data scores the engine's Deletion points
-	// per file — the livewatch drift (a hard-coded 6) is gone.
+	// per file — no second points table.
 	want := 10 * core.DefaultPoints().Deletion
-	if a.Score() != want {
-		t.Fatalf("deletion score = %.1f, want %.1f", a.Score(), want)
+	if got := report(sess).Score; got != want {
+		t.Fatalf("deletion score = %.1f, want %.1f", got, want)
 	}
 }
 
-// TestAnalyzerOwnFileDeletionScoresLow pins a behaviour unified with the
+// TestFeederOwnFileDeletionScoresLow pins a behaviour unified with the
 // engine: deleting a file the watched actor itself created (temp churn) is
 // ordinary behaviour and scores far lower than destroying pre-existing data.
-func TestAnalyzerOwnFileDeletionScoresLow(t *testing.T) {
-	a := NewAnalyzer(AnalyzerConfig{})
-	a.ApplyChange("/x/tmp.swp", []byte("scratch scratch scratch"), EventCreated)
-	base := a.Score()
-	a.applyDelete("/x/tmp.swp")
-	got := a.Score() - base
+func TestFeederOwnFileDeletionScoresLow(t *testing.T) {
+	f, sess := newFeeder(t, nil)
+	change(t, f, "/x/tmp.swp", []byte("scratch scratch scratch"), EventCreated)
+	base := report(sess).Score
+	if err := f.Delete(context.Background(), "/x/tmp.swp"); err != nil {
+		t.Fatal(err)
+	}
+	got := report(sess).Score - base
 	if want := core.DefaultPoints().DeletionOwn; got != want {
 		t.Fatalf("own-file deletion scored %.1f, want %.1f", got, want)
 	}
 }
 
-// TestAnalyzerDefaultsMatchEngine asserts the livewatch defaults are the
-// engine's defaults — derived from core.DefaultConfig, not a second table
-// that can drift (the pre-unification analyzer had hard-coded 8/8/4/6/3).
-func TestAnalyzerDefaultsMatchEngine(t *testing.T) {
-	cfg := NewAnalyzer(AnalyzerConfig{}).Engine().Config()
+// TestFeederSessionConfigMatchesEngine is the anti-drift pin: the live
+// session runs the engine's own defaults, derived from core.DefaultConfig
+// rather than a second table that can drift, changed only in the two
+// settings the payload-blind backend dictates — whatever the caller asked.
+func TestFeederSessionConfigMatchesEngine(t *testing.T) {
 	want := core.DefaultConfig("")
-	if cfg.Points != want.Points {
-		t.Fatalf("analyzer points %+v diverge from core.DefaultPoints() %+v", cfg.Points, want.Points)
+	want.NewCipherWithoutDelta = true
+	want.Workers = 0
+	if got := FeederSessionConfig(nil); !reflect.DeepEqual(got, host.SessionConfig{Engine: want}) {
+		t.Fatalf("feeder session config diverges from core.DefaultConfig:\n got: %+v\nwant: %+v", got.Engine, want)
 	}
-	if cfg.NonUnionThreshold != want.NonUnionThreshold || cfg.UnionThreshold != want.UnionThreshold {
-		t.Fatalf("analyzer thresholds %g/%g diverge from engine defaults %g/%g",
-			cfg.NonUnionThreshold, cfg.UnionThreshold, want.NonUnionThreshold, want.UnionThreshold)
-	}
-	if cfg.SimilarityMatchMax != want.SimilarityMatchMax ||
-		cfg.EntropyDeltaThreshold != want.EntropyDeltaThreshold {
-		t.Fatal("analyzer similarity/entropy thresholds diverge from engine defaults")
-	}
-	if !cfg.NewCipherWithoutDelta {
+	in := core.DefaultConfig("")
+	in.Workers = 4
+	got := FeederSessionConfig(&in).Engine
+	if !got.NewCipherWithoutDelta {
 		t.Fatal("payload-blind backend must set NewCipherWithoutDelta")
 	}
-	if cfg.Workers != 0 {
-		t.Fatal("analyzer must pin Workers to 0: content is staged synchronously")
-	}
-	// The deprecated flat indicator/threshold fields are gone: every tuning
-	// knob flows through Engine so a second points table cannot reappear.
-	want2 := map[string]bool{"Engine": true, "OnAlert": true, "Telemetry": true}
-	rt := reflect.TypeOf(AnalyzerConfig{})
-	for i := 0; i < rt.NumField(); i++ {
-		if !want2[rt.Field(i).Name] {
-			t.Fatalf("AnalyzerConfig grew field %q: engine tuning belongs in Engine *core.Config", rt.Field(i).Name)
-		}
-	}
-	if rt.NumField() != len(want2) {
-		t.Fatalf("AnalyzerConfig has %d fields, want %d", rt.NumField(), len(want2))
+	if got.Workers != 0 {
+		t.Fatal("feeder sessions must pin Workers to 0: content is staged per op")
 	}
 }
 
-// TestAnalyzerEngineConfigZeroMeansZero pins the zero-value fix: routing
-// config through core.Config lets a caller genuinely disable an indicator,
-// which the legacy flat fields (where 0 silently meant "default") never
-// could.
-func TestAnalyzerEngineConfigZeroMeansZero(t *testing.T) {
+// TestFeederEngineConfigZeroMeansZero pins that the caller's engine config
+// is used as-is: an indicator set to 0 points really is disabled, not
+// replaced by its default.
+func TestFeederEngineConfigZeroMeansZero(t *testing.T) {
 	ecfg := core.DefaultConfig("")
 	ecfg.Points.Deletion = 0
 	ecfg.Points.DeletionOwn = 0
-	a := NewAnalyzer(AnalyzerConfig{Engine: &ecfg})
-	for i := 0; i < 10; i++ {
-		a.applyDelete("/x/" + string(rune('a'+i)))
+	f, sess := newFeeder(t, &ecfg)
+	deleteN(t, f, 10)
+	if got := report(sess).Score; got != 0 {
+		t.Fatalf("deletions scored %.1f with Deletion points explicitly 0", got)
 	}
-	if a.Score() != 0 {
-		t.Fatalf("deletions scored %.1f with Deletion points explicitly 0", a.Score())
-	}
-	if got := a.Engine().Config().Points.Deletion; got != 0 {
+	if got := sess.Engine().Config().Points.Deletion; got != 0 {
 		t.Fatalf("explicit zero replaced by default %g", got)
 	}
 }
 
-func TestAnalyzerNewCipherFiles(t *testing.T) {
-	a := NewAnalyzer(AnalyzerConfig{})
+func TestFeederNewCipherFiles(t *testing.T) {
+	f, sess := newFeeder(t, nil)
 	enc := make([]byte, 8192)
 	if _, err := rand.Read(enc); err != nil {
 		t.Fatal(err)
 	}
-	a.ApplyChange("/docs/a.txt.locked", enc, EventCreated)
-	if a.Score() != 3 {
-		t.Fatalf("new-cipher score = %.1f, want 3", a.Score())
+	change(t, f, "/docs/a.txt.locked", enc, EventCreated)
+	if got := report(sess).Score; got != 3 {
+		t.Fatalf("new-cipher score = %.1f, want 3", got)
 	}
 	// A typed new file (plain text) scores nothing.
-	a2 := NewAnalyzer(AnalyzerConfig{})
-	a2.ApplyChange("/docs/notes.txt", []byte("hello hello hello hello"), EventCreated)
-	if a2.Score() != 0 {
-		t.Fatalf("typed new file scored %.1f", a2.Score())
+	f2, sess2 := newFeeder(t, nil)
+	change(t, f2, "/docs/notes.txt", []byte("hello hello hello hello"), EventCreated)
+	if got := report(sess2).Score; got != 0 {
+		t.Fatalf("typed new file scored %.1f", got)
 	}
 }
 
-func TestWatcherEndToEnd(t *testing.T) {
+// TestFeederWatchEndToEnd runs the poll loop over a real directory while
+// the tree is encrypted underneath it.
+func TestFeederWatchEndToEnd(t *testing.T) {
 	dir := writeTree(t, 40)
-	alerts := make(chan Alert, 1)
-	w := NewWatcher(dir, 20*time.Millisecond, AnalyzerConfig{OnAlert: func(a Alert) {
+	alerts := make(chan core.Detection, 1)
+	ecfg := core.DefaultConfig("")
+	ecfg.OnDetection = func(d core.Detection) {
 		select {
-		case alerts <- a:
+		case alerts <- d:
 		default:
 		}
-	}})
-	if err := w.Start(); err != nil {
+	}
+	f, sess := newFeeder(t, &ecfg)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	src := NewScanner(dir)
+	if _, err := src.Scan(); err != nil {
 		t.Fatal(err)
 	}
-	// Simulate the attack while the watcher polls.
+	if err := f.PrimeTree(ctx, dir); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- f.Watch(ctx, src, 20*time.Millisecond) }()
+	// Simulate the attack while the feeder polls.
 	for _, p := range listFiles(t, dir) {
 		encryptFile(t, p)
 	}
-	deadline := time.After(5 * time.Second)
 	select {
-	case a := <-alerts:
-		if a.Score < 140 {
-			t.Fatalf("alert score %.1f too low", a.Score)
+	case d := <-alerts:
+		if d.Score < 140 {
+			t.Fatalf("alert score %.1f too low", d.Score)
 		}
-	case <-deadline:
-		w.Stop()
-		t.Fatalf("no alert within deadline (score %.1f, scans %d, err %v)",
-			w.Analyzer().Score(), w.Scans(), w.LastErr())
+	case <-time.After(5 * time.Second):
+		t.Fatalf("no alert within deadline (score %.1f)", report(sess).Score)
 	}
-	w.Stop()
-	if w.Scans() == 0 {
-		t.Fatal("watcher never scanned")
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("Watch returned %v after cancel, want context.Canceled", err)
 	}
 }
 
-func TestWatcherStopIsClean(t *testing.T) {
+// TestFeederWatchStops pins both ways a poll loop ends: cancelling its
+// context, and its session closing underneath it.
+func TestFeederWatchStops(t *testing.T) {
 	dir := writeTree(t, 5)
-	w := NewWatcher(dir, 10*time.Millisecond, AnalyzerConfig{})
-	if err := w.Start(); err != nil {
+	h := host.New(host.Config{})
+	sess, err := h.Open("live", FeederSessionConfig(nil))
+	if err != nil {
 		t.Fatal(err)
 	}
+	f := NewFeeder(sess)
+	src := NewScanner(dir)
+	if _, err := src.Scan(); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- f.Watch(ctx, src, 10*time.Millisecond) }()
 	time.Sleep(30 * time.Millisecond)
-	w.Stop() // must not hang or panic; final poll included
-	if w.LastErr() != nil {
-		t.Fatalf("scan error: %v", w.LastErr())
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("Watch returned %v after cancel, want context.Canceled", err)
+	}
+
+	go func() { done <- f.Watch(context.Background(), src, 10*time.Millisecond) }()
+	if _, err := h.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "late.txt"), []byte("late"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		if !errors.Is(err, host.ErrSessionClosed) {
+			t.Fatalf("Watch returned %v after its session closed, want ErrSessionClosed", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Watch kept running after its session closed")
 	}
 }

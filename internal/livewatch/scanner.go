@@ -6,12 +6,13 @@
 // the payload bytes of every read and write. A file-notification watcher
 // (the fsnotify approach) sees only that files changed. This package
 // therefore implements the *degraded but deployable* variant: a polling
-// scanner detects created/modified/deleted files between snapshots, and an
-// analyzer scores the changes with the same primary indicators — file type
-// change, similarity loss and file-entropy increase — plus bulk deletion,
-// attributing them to a single unknown actor. It cannot suspend the
-// offender (no process context), so it alerts instead: still an early
-// warning, just without the surgical response the kernel driver enables.
+// scanner (or, on Linux, inotify) detects created/modified/deleted files,
+// and a Feeder turns each change into host ops that a host.Session scores
+// with the same primary indicators — file type change, similarity loss and
+// file-entropy increase — plus bulk deletion, attributing them to a single
+// unknown actor. It cannot suspend the offender (no process context), so
+// it alerts instead: still an early warning, just without the surgical
+// response the kernel driver enables.
 //
 // The difference between the two deployments is exactly the trade-off the
 // paper's architecture section motivates.
@@ -62,6 +63,15 @@ type Event struct {
 	Size int64
 }
 
+// Source produces change events for a directory tree. The portable polling
+// Scanner and the Linux InotifyScanner both implement it.
+type Source interface {
+	// Scan returns the changes since the previous call.
+	Scan() ([]Event, error)
+	// Root is the watched directory.
+	Root() string
+}
+
 // fileMeta is the snapshot record for one file.
 type fileMeta struct {
 	size  int64
@@ -85,7 +95,7 @@ func NewScanner(root string) *Scanner {
 func (s *Scanner) Root() string { return s.root }
 
 // Scan snapshots the tree and returns the changes since the previous scan,
-// sorted by path (deletions last so the analyzer can measure replacements
+// sorted by path (deletions last so the feeder can measure replacements
 // first).
 func (s *Scanner) Scan() ([]Event, error) {
 	cur := make(map[string]fileMeta, len(s.prev))

@@ -11,13 +11,12 @@ import (
 
 // EventReplayer feeds a recorded operation stream directly into a
 // core.Engine — no filesystem is reconstructed and no handles are opened.
-// Where Replay re-executes the trace against a vfs (and so can diverge from
-// the live run: repeated opens collapse onto one handle, left-open handles
-// get synthesised closes), the event replayer emits exactly one
-// PreEvent/Handle pair per record, in record order, which is precisely the
-// stream the live engine consumed. On a complete trace over a known corpus
-// it reproduces the live scoreboard, detections and flight-recorder trace
-// bit for bit (pinned by the cross-backend conformance suite).
+// It emits exactly one PreEvent/Handle pair per record, in record order,
+// which is precisely the stream the live engine consumed, so handle modes,
+// repeated opens and left-open handles replay as they happened. On a
+// complete trace over a known corpus it reproduces the live scoreboard,
+// detections and flight-recorder trace bit for bit (pinned by the
+// cross-backend conformance suite).
 //
 // The replayer maintains its own content store, seeded from the corpus the
 // trace was captured over, and mutates it as write/rename/delete records go

@@ -17,10 +17,10 @@ import (
 // trace bit-identical to EventReplayer.Replay over the same records — the
 // conformance suite pins this.
 //
-// The receiver must be seeded exactly as for Replay; building consumes the
-// store (it mutates as records go by), so use a fresh replayer per build.
-// Skip rules match Replay: undecodable payloads and opens of files outside
-// the seeded corpus are dropped.
+// The receiver must be seeded exactly as for EventReplayer.Replay; building
+// consumes the store (it mutates as records go by), so use a fresh replayer
+// per build. Skip rules match EventReplayer.Replay: undecodable payloads and
+// opens of files outside the seeded corpus are dropped.
 func (r *EventReplayer) BuildHostOps(records []Record) ([]host.Op, ReplayResult) {
 	var res ReplayResult
 	ops := make([]host.Op, 0, len(records))

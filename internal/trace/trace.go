@@ -1,8 +1,8 @@
 // Package trace records and replays filesystem operation streams. A
 // Recorder sits in the filter chain and serialises every operation —
-// including payload bytes — to a JSON-lines stream; a Replayer re-executes
-// a recorded stream against a fresh filesystem, optionally under a fresh
-// CryptoDrop engine.
+// including payload bytes — to a JSON-lines stream; an EventReplayer feeds
+// a recorded stream straight into a fresh CryptoDrop engine, or translates
+// it into host ops for a detector session.
 //
 // This supports the forensic workflow behind the paper's evaluation
 // (§IV-C: the research prototype logs measurements for later inspection)
@@ -166,109 +166,10 @@ func Read(r io.Reader) ([]Record, error) {
 
 // ReplayResult summarises a replay.
 type ReplayResult struct {
-	// Applied counts records re-executed.
+	// Applied counts records emitted.
 	Applied int
-	// Skipped counts records that could not be applied (e.g. reads of
-	// files the trace never created — content outside the trace).
+	// Skipped counts records that could not be applied: opens of files
+	// outside the seeded corpus without create intent (content outside the
+	// trace) and undecodable payloads.
 	Skipped int
-}
-
-// Replay re-executes a trace against fsys. Open handles are tracked by
-// (PID, path) so chunked read/write/close sequences reconstruct faithfully.
-// Records referring to files that do not exist in fsys and were never
-// created by the trace are counted as skipped, not fatal: a trace is a
-// partial view of a machine.
-func Replay(fsys *vfs.FS, records []Record) (ReplayResult, error) {
-	var res ReplayResult
-	type handleKey struct {
-		pid  int
-		path string
-	}
-	handles := make(map[handleKey]*vfs.Handle)
-	getHandle := func(pid int, p string, flags vfs.OpenFlag) (*vfs.Handle, error) {
-		k := handleKey{pid, p}
-		if h, ok := handles[k]; ok {
-			return h, nil
-		}
-		h, err := fsys.Open(pid, p, flags)
-		if err != nil {
-			return nil, err
-		}
-		handles[k] = h
-		return h, nil
-	}
-	closeHandle := func(pid int, p string) error {
-		k := handleKey{pid, p}
-		h, ok := handles[k]
-		if !ok {
-			return nil
-		}
-		delete(handles, k)
-		return h.Close()
-	}
-	ensureDir := func(p string) {
-		if i := lastSlash(p); i > 0 {
-			_ = fsys.MkdirAll(p[:i])
-		}
-	}
-	for _, rec := range records {
-		var err error
-		switch kindByName[rec.Op] {
-		case vfs.OpCreate:
-			ensureDir(rec.Path)
-			_, err = getHandle(rec.PID, rec.Path, vfs.OpenFlag(rec.Flags))
-		case vfs.OpOpen:
-			_, err = getHandle(rec.PID, rec.Path, vfs.OpenFlag(rec.Flags))
-		case vfs.OpRead:
-			var h *vfs.Handle
-			h, err = getHandle(rec.PID, rec.Path, vfs.ReadOnly)
-			if err == nil {
-				var payload []byte
-				payload, err = base64.StdEncoding.DecodeString(rec.DataB64)
-				if err == nil {
-					h.SeekTo(rec.Offset)
-					buf := make([]byte, len(payload))
-					_, err = h.Read(buf)
-				}
-			}
-		case vfs.OpWrite:
-			var h *vfs.Handle
-			h, err = getHandle(rec.PID, rec.Path, vfs.WriteOnly|vfs.Create)
-			if err == nil {
-				var payload []byte
-				payload, err = base64.StdEncoding.DecodeString(rec.DataB64)
-				if err == nil {
-					h.SeekTo(rec.Offset)
-					_, err = h.Write(payload)
-				}
-			}
-		case vfs.OpClose:
-			err = closeHandle(rec.PID, rec.Path)
-		case vfs.OpDelete:
-			err = fsys.Delete(rec.PID, rec.Path)
-		case vfs.OpRename:
-			ensureDir(rec.NewPath)
-			err = fsys.Rename(rec.PID, rec.Path, rec.NewPath)
-		}
-		if err != nil {
-			res.Skipped++
-			continue
-		}
-		res.Applied++
-	}
-	// Close any handles the trace left open.
-	for _, h := range handles {
-		_ = h.Close()
-	}
-	return res, nil
-}
-
-// lastSlash returns the index of the final '/' in p, or -1.
-func lastSlash(p string) int {
-	for i := len(p) - 1; i >= 0; i-- {
-		if p[i] == '/' {
-			return i
-		}
-	}
-	return -1
 }

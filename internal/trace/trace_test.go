@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"cryptodrop"
+	"cryptodrop/internal/core"
 	"cryptodrop/internal/corpus"
 	"cryptodrop/internal/proc"
 	"cryptodrop/internal/ransomware"
@@ -81,10 +82,11 @@ func TestReadRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestReplayReproducesDetection records a ransomware run on machine A, then
+// replays the trace into a fresh engine whose content store is seeded from
+// the same corpus: the replay must reach A's verdict exactly — same score,
+// and detection at the same operation.
 func TestReplayReproducesDetection(t *testing.T) {
-	// Record a ransomware run on machine A, then replay the trace on a
-	// fresh machine B with the same corpus: the engine must reach the
-	// same verdict.
 	spec := corpus.Spec{Seed: 70, Files: 200, Dirs: 25, SizeScale: 0.25}
 
 	// Machine A: corpus + monitor + recorder; run the sample.
@@ -119,7 +121,7 @@ func TestReplayReproducesDetection(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Machine B: identical corpus, fresh monitor; replay the trace.
+	// Machine B: the identical corpus seeds the replayer's content store.
 	records, err := Read(&traceBuf)
 	if err != nil {
 		t.Fatal(err)
@@ -127,51 +129,58 @@ func TestReplayReproducesDetection(t *testing.T) {
 	if len(records) == 0 {
 		t.Fatal("empty trace")
 	}
-	fsB := vfs.New()
-	if _, err := corpus.Build(fsB, spec); err != nil {
+	seed := vfs.New()
+	if _, err := corpus.Build(seed, spec); err != nil {
 		t.Fatal(err)
 	}
-	procsB := proc.NewTable()
-	monB, err := cryptodrop.NewMonitor(fsB, procsB, cryptodrop.WithoutEnforcement(), cryptodrop.WithRoot(m.Root))
-	if err != nil {
+	replayer := NewEventReplayer()
+	if err := replayer.SeedFromFS(seed); err != nil {
 		t.Fatal(err)
 	}
-	// Register the traced PID so reports resolve.
-	for procsB.Spawn("replayed") < pidA {
-	}
-	rr, err := Replay(fsB, records)
+	eng := core.New(core.DefaultConfig(m.Root), replayer)
+	rr, err := replayer.Replay(eng, records)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rr.Applied == 0 {
 		t.Fatalf("nothing applied: %+v", rr)
 	}
-	if len(monB.Detections()) != 1 {
-		t.Fatalf("replay produced %d detections, want 1 (applied %d, skipped %d)",
-			len(monB.Detections()), rr.Applied, rr.Skipped)
+	detsA, detsB := monA.Detections(), eng.Detections()
+	if len(detsA) != 1 || len(detsB) != 1 {
+		t.Fatalf("detections: A=%d, replay=%d, want 1 each (applied %d, skipped %d)",
+			len(detsA), len(detsB), rr.Applied, rr.Skipped)
 	}
 	repA, _ := monA.Report(pidA)
-	repB, _ := monB.Report(pidA)
-	if !repB.Detected {
+	repB, ok := eng.Report(pidA)
+	if !ok || !repB.Detected {
 		t.Fatal("replayed process not detected")
 	}
-	// Scores track closely (replay flattens handle modes slightly).
-	if diff := repA.Score - repB.Score; diff > 25 || diff < -25 {
-		t.Fatalf("scores diverge: A=%.1f B=%.1f", repA.Score, repB.Score)
+	if repA.Score != repB.Score {
+		t.Fatalf("scores diverge: A=%.1f replay=%.1f", repA.Score, repB.Score)
+	}
+	if detsA[0].OpIndex != detsB[0].OpIndex {
+		t.Fatalf("detection op index diverges: A=%d replay=%d", detsA[0].OpIndex, detsB[0].OpIndex)
 	}
 }
 
+// TestReplaySkipsForeignFiles pins the replayer's skip rules: an open of a
+// path outside the seeded store without create intent (its pre-state is
+// unknown) and an undecodable payload are skipped, not fatal — a trace is a
+// partial view of a machine.
 func TestReplaySkipsForeignFiles(t *testing.T) {
 	records := []Record{
-		{Seq: 1, Op: "delete", PID: 1, Path: "/never/existed"},
-		{Seq: 2, Op: "rename", PID: 1, Path: "/also/missing", NewPath: "/x"},
+		{Seq: 1, Op: "open", PID: 1, Path: "/never/existed", FileID: 9, Flags: int(vfs.WriteOnly)},
+		{Seq: 2, Op: "write", PID: 1, Path: "/docs/a.txt", FileID: 1, DataB64: "not base64!"},
+		{Seq: 3, Op: "open", PID: 1, Path: "/docs/a.txt", FileID: 1, Flags: int(vfs.ReadOnly)},
 	}
-	fs := vfs.New()
-	rr, err := Replay(fs, records)
+	replayer := NewEventReplayer()
+	replayer.Seed("/docs/a.txt", 1, []byte("seeded"))
+	eng := core.New(core.DefaultConfig("/"), replayer)
+	rr, err := replayer.Replay(eng, records)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rr.Skipped != 2 || rr.Applied != 0 {
-		t.Fatalf("result = %+v", rr)
+	if rr.Skipped != 2 || rr.Applied != 1 {
+		t.Fatalf("result = %+v, want 2 skipped, 1 applied", rr)
 	}
 }

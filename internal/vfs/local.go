@@ -10,8 +10,8 @@ import (
 )
 
 // Local is an OS-directory-backed content store: every router file lives as
-// a real file under dir, at its mount-relative path. It gives cdlive/cdhost
-// deployments a mount whose bytes survive the process — and the conformance
+// a real file under dir, at its mount-relative path. It gives deployments
+// a mount whose bytes survive the process — and the conformance
 // suite a second, structurally different backend to pin the router's
 // backend-neutrality against. The router still owns the namespace: Local
 // only mirrors content, so out-of-band edits to dir are not part of the
