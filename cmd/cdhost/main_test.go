@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"cryptodrop/internal/audit"
 )
@@ -117,6 +118,25 @@ func TestSelftestInotify(t *testing.T) {
 	}
 }
 
+// TestSelftestPolling runs the three-root selftest on the default polling
+// source with no observability outputs armed, under a time limit of its own:
+// the selftest errors unless only the encrypted root's session alerts.
+func TestSelftestPolling(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full selftest cycle")
+	}
+	done := make(chan error, 1)
+	go func() { done <- run([]string{"-selftest", "-interval", "150ms"}) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("polling selftest: %v", err)
+		}
+	case <-time.After(60 * time.Second):
+		t.Fatal("polling selftest did not finish within 60s")
+	}
+}
+
 func TestBadFlag(t *testing.T) {
 	if err := run([]string{"-nope"}); err == nil {
 		t.Fatal("bad flag accepted")
@@ -126,6 +146,16 @@ func TestBadFlag(t *testing.T) {
 func TestRunRequiresDirs(t *testing.T) {
 	if err := run(nil); err == nil {
 		t.Fatal("no -dir and no -selftest accepted")
+	}
+}
+
+// TestInotifyRequiresDir pins that choosing the event source does not stand
+// in for a watched root: -inotify without -dir or -selftest is refused with
+// the usage error, before any source is opened.
+func TestInotifyRequiresDir(t *testing.T) {
+	err := run([]string{"-inotify", "-interval", "10ms"})
+	if err == nil || !strings.Contains(err.Error(), "pass -dir") {
+		t.Fatalf("-inotify without -dir: err = %v, want the missing -dir error", err)
 	}
 }
 
