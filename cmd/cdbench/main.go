@@ -56,18 +56,9 @@ type config struct {
 	// Measurement-optimisation knobs (DESIGN.md "Measurement tiers and
 	// memoization"); applied to the roster-driven experiments (table1,
 	// fig3, fig4, fig5, fig6, union, paper).
-	cacheMB     int
-	tier        string
-	sampleKB    int
-	incremental bool
-	// Wire-ingest load-generator knobs (-exp wire, -serve, -remote).
-	remote       string
-	serveAddr    string
-	wireSessions int
-	wireOps      int
-	wireBatch    int
-	wireBytes    int
-	wireIters    int
+	cacheMB  int
+	tier     string
+	sampleKB int
 }
 
 // monitorOpts translates the measurement-optimisation flags into monitor
@@ -87,16 +78,13 @@ func (cfg config) monitorOpts() ([]cryptodrop.Option, error) {
 	default:
 		return nil, fmt.Errorf("unknown tier %q (want full or sampled)", cfg.tier)
 	}
-	if cfg.incremental {
-		opts = append(opts, cryptodrop.WithIncrementalEntropy())
-	}
 	return opts, nil
 }
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("cdbench", flag.ContinueOnError)
 	var cfg config
-	fs.StringVar(&cfg.exp, "exp", "all", "experiment: table1|fig3|fig4|fig5|fig6|union|smallfile|perf|ablation|evasion|recovery|paper|wire|all")
+	fs.StringVar(&cfg.exp, "exp", "all", "experiment: table1|fig3|fig4|fig5|fig6|union|smallfile|perf|ablation|evasion|recovery|paper|all")
 	fs.Int64Var(&cfg.seed, "seed", 2016, "master seed for corpus and roster")
 	fs.IntVar(&cfg.files, "files", corpus.DefaultFiles, "corpus file count")
 	fs.IntVar(&cfg.dirs, "dirs", corpus.DefaultDirs, "corpus directory count")
@@ -110,19 +98,8 @@ func run(args []string) error {
 	fs.IntVar(&cfg.cacheMB, "measure-cache-mb", 0, "measurement memo cache shared across the run's monitors, in MiB (0 = each monitor keeps its own memo)")
 	fs.StringVar(&cfg.tier, "tier", "full", "measurement tier: full, or sampled for the two-tier ladder")
 	fs.IntVar(&cfg.sampleKB, "sample-kb", 0, "sampled-tier header sample size in KiB (0 = default 8)")
-	fs.BoolVar(&cfg.incremental, "incremental", false, "maintain incremental per-file entropy histograms")
-	fs.StringVar(&cfg.serveAddr, "serve", "", "run the wire-ingest service half on this address and block (two-process benchmarking)")
-	fs.StringVar(&cfg.remote, "remote", "", "drive -exp wire against a running service at this base URL instead of an embedded one")
-	fs.IntVar(&cfg.wireSessions, "wire-sessions", 256, "concurrent wire sessions per trial (-exp wire)")
-	fs.IntVar(&cfg.wireOps, "wire-ops", 100, "ops streamed per session (-exp wire)")
-	fs.IntVar(&cfg.wireBatch, "wire-batch", 8, "ops per frame/submit batch (-exp wire)")
-	fs.IntVar(&cfg.wireBytes, "wire-bytes", 4096, "staged content bytes per op (-exp wire)")
-	fs.IntVar(&cfg.wireIters, "wire-iters", 5, "interleaved A/B iterations (-exp wire)")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if cfg.serveAddr != "" {
-		return runServe(cfg.serveAddr)
 	}
 	if cfg.quick {
 		cfg.files, cfg.dirs, cfg.scale = 800, 80, 0.3
@@ -145,7 +122,6 @@ func run(args []string) error {
 		"curves":    expCurves,
 		"recovery":  expRecovery,
 		"paper":     expPaper,
-		"wire":      expWire,
 	}
 	if cfg.exp == "all" {
 		for _, name := range []string{"table1", "fig3", "fig4", "fig5", "fig6", "union", "smallfile", "perf", "ablation", "evasion", "curves", "multiproc", "recovery"} {

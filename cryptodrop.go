@@ -128,8 +128,8 @@ type (
 	// ContentSource supplies file content by stable file ID.
 	ContentSource = core.ContentSource
 	// RangeReader is the optional ContentSource capability for serving byte
-	// ranges; the sampled measurement tier and incremental entropy use it to
-	// read only the bytes they need.
+	// ranges; the sampled measurement tier uses it to read only the header
+	// sample.
 	RangeReader = core.RangeReader
 	// MeasureCache is a bounded content-hash measurement memo cache,
 	// shareable across engines and host sessions. Create with
@@ -374,21 +374,6 @@ func WithFamilyScoring() Option {
 	return func(o *options) { o.familyScoring = true }
 }
 
-// WithMeasureWorkers bounds how many file measurements (similarity digest,
-// entropy, type sniff) may run concurrently off the event path. Zero — the
-// default — keeps every measurement synchronous, bit-identical to the
-// sequential engine; DefaultMeasureWorkers sizes the pool to the machine.
-// Detection verdicts and scores are unchanged either way: only the point in
-// the operation stream where a transformation's score lands may shift by a
-// few operations for the affected process.
-func WithMeasureWorkers(n int) Option {
-	return func(o *options) { o.cfg.Workers = n }
-}
-
-// DefaultMeasureWorkers returns the measurement pool size matched to the
-// machine, for use with WithMeasureWorkers.
-func DefaultMeasureWorkers() int { return core.DefaultWorkers() }
-
 // WithMeasureCache memoizes file measurements in c instead of the monitor's
 // own 16 MiB memo: content already measured anywhere sharing the cache is
 // resolved by hash lookup instead of re-running the digest and entropy
@@ -412,14 +397,6 @@ func WithSampledTier(sampleBytes int) Option {
 		o.cfg.Tier = core.TierSampled
 		o.cfg.SampleBytes = sampleBytes
 	}
-}
-
-// WithIncrementalEntropy maintains per-file byte histograms folded forward
-// by each write, so re-measuring a mutated file reuses the maintained counts
-// instead of rescanning the whole content. Entropy values — and therefore
-// all verdicts — are bit-identical to the full rescan.
-func WithIncrementalEntropy() Option {
-	return func(o *options) { o.cfg.IncrementalEntropy = true }
 }
 
 // WithCheckpoint makes the monitor's session durable: its complete scoring

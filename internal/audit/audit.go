@@ -57,8 +57,6 @@ type EngineConfig struct {
 	FunnelingThreshold    int     `json:"funnelingThreshold"`
 	Tier                  string  `json:"tier"`
 	SampleBytes           int     `json:"sampleBytes,omitempty"`
-	Workers               int     `json:"workers"`
-	IncrementalEntropy    bool    `json:"incrementalEntropy,omitempty"`
 	NewCipherWithoutDelta bool    `json:"newCipherWithoutDelta,omitempty"`
 	PayloadBlind          bool    `json:"payloadBlind,omitempty"`
 }

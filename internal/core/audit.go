@@ -45,8 +45,6 @@ func (e *Engine) buildAuditBundle(fd firedDetection) *audit.Bundle {
 			SimilarityMatchMax:    e.cfg.SimilarityMatchMax,
 			FunnelingThreshold:    e.cfg.FunnelingThreshold,
 			Tier:                  tierName(e.cfg.Tier),
-			Workers:               e.cfg.Workers,
-			IncrementalEntropy:    e.cfg.IncrementalEntropy,
 			NewCipherWithoutDelta: e.cfg.NewCipherWithoutDelta,
 			PayloadBlind:          e.payloadBlind.Load(),
 		},

@@ -1,9 +1,9 @@
 package core
 
-// Concurrency regression tests for the sharded scoreboard and the
-// measurement pool. Run with -race: these tests exist to catch lock-window
-// regressions (a delete racing the content read of a completed rewrite) and
-// cross-shard ordering bugs, not to assert timing.
+// Concurrency regression tests for the sharded scoreboard. Run with -race:
+// these tests exist to catch lock-window regressions (a delete racing the
+// content read of a completed rewrite) and cross-shard ordering bugs, not
+// to assert timing.
 
 import (
 	"fmt"
@@ -60,7 +60,6 @@ func TestConcurrentDeleteCloseSameFile(t *testing.T) {
 	wg.Wait()
 
 	// The engine must still be consistent and serviceable.
-	eng.Flush()
 	for _, pid := range []int{1, 2} {
 		if _, ok := eng.Report(pid); !ok {
 			t.Fatalf("no report for pid %d after contended run", pid)
@@ -74,7 +73,6 @@ func TestConcurrentDeleteCloseSameFile(t *testing.T) {
 // every transformation must land exactly once.
 func TestConcurrentPostOpDistinctProcesses(t *testing.T) {
 	cfg := DefaultConfig(testRoot)
-	cfg.Workers = 4
 	fs, eng := setup(t, cfg)
 
 	const procs = 16
@@ -94,7 +92,6 @@ func TestConcurrentPostOpDistinctProcesses(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	eng.Flush()
 
 	for g := 0; g < procs; g++ {
 		rep, ok := eng.Report(100 + g)
@@ -106,80 +103,6 @@ func TestConcurrentPostOpDistinctProcesses(t *testing.T) {
 		}
 		if rep.Score <= 0 {
 			t.Errorf("pid %d: score = %v, want > 0 after repeated encryption", 100+g, rep.Score)
-		}
-	}
-}
-
-// TestWorkerPoolMatchesSequential replays one deterministic single-threaded
-// workload through a synchronous engine (Workers = 0) and a pooled engine
-// (Workers = 4) and requires identical verdicts: same scores, same
-// per-indicator points, same union state, same detection operation indexes.
-// This is the invariant the deferred-apply design exists to preserve — the
-// pool moves measurement off the event path without changing what the
-// engine concludes.
-func TestWorkerPoolMatchesSequential(t *testing.T) {
-	run := func(workers int) (*Engine, []Detection) {
-		cfg := DefaultConfig(testRoot)
-		cfg.Workers = workers
-		fs, eng := setup(t, cfg)
-		// A Class A pass over the corpus as pid 7, with benign reads from
-		// pid 8 interleaved.
-		files, err := fs.List(testRoot)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, fi := range files {
-			p := fi.Path
-			if i%3 == 0 {
-				if _, err := fs.ReadFile(8, p); err != nil {
-					t.Fatal(err)
-				}
-			}
-			encryptInPlace(t, fs, 7, p)
-		}
-		return eng, eng.Detections()
-	}
-
-	seqEng, seqDets := run(0)
-	poolEng, poolDets := run(4)
-
-	if len(seqDets) != len(poolDets) {
-		t.Fatalf("detections: sequential %d, pooled %d", len(seqDets), len(poolDets))
-	}
-	for i := range seqDets {
-		s, p := seqDets[i], poolDets[i]
-		if s.PID != p.PID || s.Score != p.Score || s.Threshold != p.Threshold ||
-			s.Union != p.Union || s.OpIndex != p.OpIndex {
-			t.Errorf("detection %d differs: sequential %+v, pooled %+v", i, s, p)
-		}
-	}
-	seqReps, poolReps := seqEng.Reports(), poolEng.Reports()
-	if len(seqReps) != len(poolReps) {
-		t.Fatalf("reports: sequential %d, pooled %d", len(seqReps), len(poolReps))
-	}
-	for i := range seqReps {
-		s, p := seqReps[i], poolReps[i]
-		if s.PID != p.PID || s.Score != p.Score || s.Union != p.Union ||
-			s.Detected != p.Detected || s.FilesTransformed != p.FilesTransformed {
-			t.Errorf("report %d differs: sequential %+v, pooled %+v", i, s, p)
-		}
-		for ind, pts := range s.IndicatorPoints {
-			if p.IndicatorPoints[ind] != pts {
-				t.Errorf("pid %d indicator %v: sequential %v, pooled %v",
-					s.PID, ind, pts, p.IndicatorPoints[ind])
-			}
-		}
-		if len(s.History) != len(p.History) {
-			t.Errorf("pid %d history length: sequential %d, pooled %d",
-				s.PID, len(s.History), len(p.History))
-			continue
-		}
-		for j := range s.History {
-			if s.History[j] != p.History[j] {
-				t.Errorf("pid %d history[%d]: sequential %+v, pooled %+v",
-					s.PID, j, s.History[j], p.History[j])
-				break
-			}
 		}
 	}
 }

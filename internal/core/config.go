@@ -23,8 +23,6 @@
 package core
 
 import (
-	"runtime"
-
 	"cryptodrop/internal/audit"
 	"cryptodrop/internal/indicator"
 	"cryptodrop/internal/magic"
@@ -153,13 +151,6 @@ type Config struct {
 	// switch) as "the FeatPayload feature is unavailable", via
 	// indicator.Context.PayloadStreamAvailable.
 	NewCipherWithoutDelta bool
-	// Workers sizes the measurement worker pool. Zero (the default) keeps
-	// every measurement synchronous on the event path — bit-identical to
-	// the original sequential engine, which the deterministic experiments
-	// rely on. A positive value bounds how many file measurements (sdhash
-	// digest + entropy + magic sniff) may run concurrently off the event
-	// path; DefaultWorkers sizes it to the machine.
-	Workers int
 	// MeasureCache, if set, memoizes file measurements by content hash:
 	// before running the measurement kernels the engine looks the content up
 	// in the cache, and identical bytes — across files, processes, and every
@@ -175,14 +166,6 @@ type Config struct {
 	// DefaultSampleBytes; values below magic.SniffLen are raised to it so
 	// sampled type identification stays exact. Ignored under TierFull.
 	SampleBytes int
-	// IncrementalEntropy maintains a per-file byte histogram updated by each
-	// write's replaced range, so a full measurement of a file mutated since
-	// its last measurement reuses the maintained counts (O(256)) instead of
-	// rescanning the whole content. Entropy values are bit-identical to the
-	// full rescan; any mutation the engine cannot attribute exactly
-	// (overlapping in-flight writes, truncations, sparse writes) falls back
-	// to the full scan.
-	IncrementalEntropy bool
 	// FamilyOf, if set, maps an acting PID to its scoring group (typically
 	// the root ancestor of the process family). All processes in a group
 	// share one scoreboard entry, so malware cannot dilute its score by
@@ -202,7 +185,7 @@ type Config struct {
 	// Telemetry, if set, receives the engine's metrics: per-indicator fire
 	// counters (series derived from the registry's declared names),
 	// detection counters and score distributions, measurement latency
-	// histograms, pool gauges and sampled shard lock-wait times. Nil (the
+	// histograms and sampled shard lock-wait times. Nil (the
 	// default) disables all metric collection; the event path then pays a
 	// single nil-check branch.
 	Telemetry *telemetry.Registry
@@ -212,10 +195,9 @@ type Config struct {
 	// SpanTracer, if set, samples causal spans across the pipeline: one
 	// Sample() decision per operation covers the operation's hook dispatch,
 	// indicator awards and policy decision, and measurements sample
-	// independently (they may run on pool workers long after the operation
-	// that queued them). Nil (the default) disables tracing; the event path
-	// then pays a single nil-check branch and scoring output is
-	// bit-identical.
+	// independently (a PreEvent snapshot belongs to no scored operation).
+	// Nil (the default) disables tracing; the event path then pays a
+	// single nil-check branch and scoring output is bit-identical.
 	SpanTracer *telemetry.SpanTracer
 	// AuditSink, if set, receives one self-contained audit bundle per
 	// detection — per-indicator score provenance, touched/lost files,
@@ -228,10 +210,6 @@ type Config struct {
 	// It never affects scoring.
 	SessionID string
 }
-
-// DefaultWorkers returns the measurement pool size matched to the machine:
-// one worker per schedulable CPU.
-func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
 // sampleBytes resolves the effective cheap-tier sample size: the configured
 // value, defaulted and clamped so a sample always covers magic.SniffLen —

@@ -58,11 +58,6 @@ type Engine struct {
 	// destroying the user's pre-existing data.
 	files fileTable
 
-	// pool runs measurement kernels off the event path when cfg.Workers
-	// is positive; nil means fully synchronous (bit-identical to the
-	// original single-threaded engine).
-	pool *measurePool
-
 	// memo is the content-hash measurement memo cache (Config.MeasureCache,
 	// possibly shared fleet-wide); nil disables memoization.
 	memo *measurecache.Cache
@@ -139,10 +134,6 @@ func New(cfg Config, src ContentSource) *Engine {
 		e.indNames[u.Decl().ID] = u.Decl().Name
 	}
 	registerObsSeries(cfg.Telemetry, cfg.SpanTracer)
-	if cfg.Workers > 0 {
-		e.pool = newMeasurePool(cfg.Workers, e.tel)
-		registerPoolGauges(cfg.Telemetry, e.pool)
-	}
 	return e
 }
 
@@ -222,17 +213,9 @@ func (e *Engine) PreEvent(ev Event) {
 			e.snapshot(ev.FileID, e.tierSampled(ev.PID))
 		}
 	case EvWrite:
-		if e.inRoot(ev.Path) {
-			// Fallback for handles opened before the engine attached.
-			if ev.Size > 0 {
-				e.snapshotIfMissing(ev.FileID, e.tierSampled(ev.PID))
-			}
-			if e.cfg.IncrementalEntropy && len(ev.Data) > 0 {
-				// The ContentSource still observes the pre-write bytes here:
-				// fold the about-to-be-replaced range out of the file's
-				// incremental histogram.
-				e.incrBeginWrite(&ev)
-			}
+		// Fallback for handles opened before the engine attached.
+		if ev.Size > 0 && e.inRoot(ev.Path) {
+			e.snapshot(ev.FileID, e.tierSampled(ev.PID))
 		}
 	case EvRename:
 		if ev.ReplacedID != 0 && e.inRoot(ev.NewPath) {
@@ -264,23 +247,20 @@ func (e *Engine) Handle(ev Event) {
 	}
 	ps, sh := e.lockProc(ev.PID)
 	ps.spanOn = traced
-	// Fold in any measurement results completed since the process's last
-	// operation, in submission order, before scoring the new operation.
-	dets := e.drainPending(ps)
 
 	// Transformation-evaluating ops (a completed rewrite, a rename into
-	// the protected tree) need the file's current content. The read — and
-	// in synchronous mode the measurement — happens with the shard lock
-	// released, so a concurrent delete or rename can no longer mutate the
-	// file cache under a lock the reader believes it still holds.
-	var job *measureTask
+	// the protected tree) need the file's current content. The read and
+	// the measurement happen with the shard lock released, so a concurrent
+	// delete or rename can never mutate the file cache under a lock the
+	// reader believes it still holds.
+	var cur *fileState
 	if e.needsContent(&ev) {
 		// The tier decision reads the escalation latch under the lock we
 		// already hold, so a process promoted by its previous operation
 		// measures this one at full fidelity.
 		sampled := e.cfg.Tier == TierSampled && !ps.escalated
 		sh.mu.Unlock()
-		job = e.prepareMeasure(ev.FileID, sampled)
+		cur = e.measure(ev.FileID, sampled, false)
 		sh.mu.Lock()
 	}
 
@@ -291,26 +271,20 @@ func (e *Engine) Handle(ev Event) {
 	case EvWrite:
 		e.handleWrite(ps, &ev, opIdx)
 	case EvClose:
-		e.handleClose(ps, &ev, job, opIdx)
+		e.handleClose(ps, &ev, cur, opIdx)
 	case EvDelete:
 		e.handleDelete(ps, &ev, opIdx)
 	case EvRename:
-		e.handleRename(ps, &ev, job, opIdx)
+		e.handleRename(ps, &ev, cur, opIdx)
 	case EvCreate:
 		if e.feats.Has(indicator.FeatCreator) {
 			e.files.setCreator(ev.FileID, ev.PID)
 		}
 		ps.dirsTouched[path.Dir(ev.Path)] = true
 	case EvOpen:
-		if e.cfg.IncrementalEntropy && ev.Flags&EvTruncate != 0 {
-			// Truncation discards bytes the tracker cannot attribute.
-			e.incrInvalidate(ev.FileID)
-		}
 		ps.dirsTouched[path.Dir(ev.Path)] = true
 	}
-	if det, fire := e.checkDetection(ps, opIdx); fire {
-		dets = append(dets, det)
-	}
+	det, fire := e.checkDetection(ps, opIdx)
 	ps.spanOn = false
 	sh.mu.Unlock()
 	if traced {
@@ -319,7 +293,9 @@ func (e *Engine) Handle(ev Event) {
 			Group: ps.pid, OpIndex: opIdx, Path: ev.Path,
 		}, opStart, time.Since(opStart))
 	}
-	e.dispatch(dets)
+	if fire {
+		e.dispatch(det)
+	}
 }
 
 // firedDetection couples a Detection with the flagged group's bookkeeping
@@ -332,20 +308,15 @@ type firedDetection struct {
 	escalated bool
 }
 
-// dispatch invokes the detection callback and emits the audit bundle for
-// each fired detection, in order, outside all engine locks.
-func (e *Engine) dispatch(dets []firedDetection) {
-	if len(dets) == 0 {
-		return
+// dispatch invokes the detection callback and emits the audit bundle for a
+// fired detection, outside all engine locks.
+func (e *Engine) dispatch(fd firedDetection) {
+	if e.cfg.OnDetection != nil {
+		e.cfg.OnDetection(fd.det)
 	}
-	for _, fd := range dets {
-		if e.cfg.OnDetection != nil {
-			e.cfg.OnDetection(fd.det)
-		}
-		if e.cfg.AuditSink != nil {
-			e.cfg.AuditSink.Emit(e.buildAuditBundle(fd))
-			e.tel.auditEmitted()
-		}
+	if e.cfg.AuditSink != nil {
+		e.cfg.AuditSink.Emit(e.buildAuditBundle(fd))
+		e.tel.auditEmitted()
 	}
 }
 
@@ -411,9 +382,6 @@ func (e *Engine) handleRead(ps *procState, ev *Event, opIdx int64) {
 // handleWrite folds a write payload into the entropy tracker and dispatches
 // the per-write hook; proc-shard lock held.
 func (e *Engine) handleWrite(ps *procState, ev *Event, opIdx int64) {
-	if e.cfg.IncrementalEntropy && e.wantContent() && len(ev.Data) > 0 {
-		e.incrApplyWrite(ev)
-	}
 	ps.delta.AddWrite(ev.Data)
 	ps.dirsTouched[path.Dir(ev.Path)] = true
 	ps.touchExt(extOf(ev.Path))
@@ -431,15 +399,15 @@ func (e *Engine) deltaSuspicious(ps *procState) bool {
 // handle, then evaluates the completed rewrite against the cached
 // previous-version state when its content could be measured; proc-shard
 // lock held.
-func (e *Engine) handleClose(ps *procState, ev *Event, job *measureTask, opIdx int64) {
+func (e *Engine) handleClose(ps *procState, ev *Event, cur *fileState, opIdx int64) {
 	if !ev.Wrote {
 		return
 	}
 	e.runHook(indicator.HookClose, ps, opIdx, ev.Path, measured{})
-	if job == nil {
+	if cur == nil {
 		return
 	}
-	e.evaluate(ps, job, ev.FileID, e.files.entry(ev.FileID), opIdx, ev.Path)
+	e.evaluate(ps, cur, ev.FileID, e.files.entry(ev.FileID), opIdx, ev.Path)
 }
 
 // handleDelete scores a protected file removal; proc-shard lock held.
@@ -458,9 +426,6 @@ func (e *Engine) handleDelete(ps *procState, ev *Event, opIdx int64) {
 	e.runHook(indicator.HookDelete, ps, opIdx, ev.Path, measured{ownDelete: own})
 	e.files.drop(ev.FileID)
 	e.files.dropCreator(ev.FileID)
-	if e.cfg.IncrementalEntropy {
-		e.incrDrop(ev.FileID)
-	}
 }
 
 // handleRename links file state across moves. A rename that replaces an
@@ -468,7 +433,7 @@ func (e *Engine) handleDelete(ps *procState, ev *Event, opIdx int64) {
 // file; a move back into the protected root is checked against the moved
 // file's own cached state. Each protected-tree side of the rename also gets
 // a touch-level hook dispatch; proc-shard lock held.
-func (e *Engine) handleRename(ps *procState, ev *Event, job *measureTask, opIdx int64) {
+func (e *Engine) handleRename(ps *procState, ev *Event, cur *fileState, opIdx int64) {
 	if e.inRoot(ev.Path) {
 		ps.dirsTouched[path.Dir(ev.Path)] = true
 		e.runHook(indicator.HookRename, ps, opIdx, ev.Path, measured{})
@@ -486,105 +451,36 @@ func (e *Engine) handleRename(ps *procState, ev *Event, job *measureTask, opIdx 
 	if ev.ReplacedID != 0 {
 		// The incoming file replaced a protected file: compare the new
 		// content against the replaced file's snapshot.
-		if job != nil {
-			e.evaluate(ps, job, ev.FileID, e.files.entry(ev.ReplacedID), opIdx, ev.NewPath)
+		if cur != nil {
+			e.evaluate(ps, cur, ev.FileID, e.files.entry(ev.ReplacedID), opIdx, ev.NewPath)
 		}
 		e.files.drop(ev.ReplacedID)
-		if e.cfg.IncrementalEntropy {
-			e.incrDrop(ev.ReplacedID)
-		}
 		return
 	}
-	if prev := e.files.entry(ev.FileID); prev != nil && job != nil {
+	if prev := e.files.entry(ev.FileID); prev != nil && cur != nil {
 		// The file itself returned to the protected tree (Class B):
 		// compare against its own pre-move state.
-		e.evaluate(ps, job, ev.FileID, prev, opIdx, ev.NewPath)
+		e.evaluate(ps, cur, ev.FileID, prev, opIdx, ev.NewPath)
 	}
 }
 
-// pendingApply is a transformation evaluation whose measurement may still
-// be resolving on the pool: the new content's measurement task, the
-// previous-version state captured when the operation was scored, and the
-// operation index the award should be recorded under.
-type pendingApply struct {
-	job       *measureTask
-	prev      *measureTask
-	contentID uint64
-	opIdx     int64
-	// path is the file path at enqueue time, carried for telemetry
-	// attribution of the eventual awards.
-	path string
-}
-
-// evaluate scores the transformation of file contentID (measured by job)
-// against the previous state prev. Without a pool the evaluation applies
-// immediately — bit-identical to the original sequential engine. With a
-// pool it is queued on the process and folded back in submission order at
-// the process's next operation (or at a Flush/report), so per-process
-// scoring order is exactly the order the sequential engine would use;
-// proc-shard lock held.
-func (e *Engine) evaluate(ps *procState, job *measureTask, contentID uint64, prev *measureTask, opIdx int64, path string) {
-	p := pendingApply{job: job, prev: prev, contentID: contentID, opIdx: opIdx, path: path}
-	if e.pool == nil {
-		e.applyPending(ps, p)
-		return
-	}
-	ps.pending = append(ps.pending, p)
-}
-
-// applyPending applies one queued evaluation, dispatching the funneling
-// hook (the written-type set may have changed) and then the new-file or
-// transform hook; proc-shard lock held.
-func (e *Engine) applyPending(ps *procState, p pendingApply) {
-	newState := p.job.state()
+// evaluate scores the transformation of file contentID, whose new content
+// measured as cur, against the previous-version state prev (nil for a new
+// file): the funneling hook first (the written-type set may have changed),
+// then the new-file or transform hook. The new state then becomes the
+// file's previous version; proc-shard lock held.
+func (e *Engine) evaluate(ps *procState, cur *fileState, contentID uint64, prev *fileState, opIdx int64, path string) {
 	if e.feats.Has(indicator.FeatTypeSniff) {
-		ps.typesWritten[newState.typ.ID] = true
+		ps.typesWritten[cur.typ.ID] = true
 	}
-	e.runHook(indicator.HookFunnel, ps, p.opIdx, p.path, measured{})
-	prev := p.prev.state()
+	e.runHook(indicator.HookFunnel, ps, opIdx, path, measured{})
 	if prev == nil {
-		e.runHook(indicator.HookNewFile, ps, p.opIdx, p.path, measured{newState: newState})
-	}
-	if prev != nil {
+		e.runHook(indicator.HookNewFile, ps, opIdx, path, measured{newState: cur})
+	} else {
 		ps.filesTransformed++
-		e.runHook(indicator.HookTransform, ps, p.opIdx, p.path, measured{newState: newState, prev: prev})
+		e.runHook(indicator.HookTransform, ps, opIdx, path, measured{newState: cur, prev: prev})
 	}
-	e.files.store(p.contentID, newState)
-}
-
-// drainPending applies every queued evaluation for the process in
-// submission order, re-checking detection against each evaluation's own
-// operation index; proc-shard lock held. Fired detections are returned for
-// dispatch outside the lock.
-func (e *Engine) drainPending(ps *procState) []firedDetection {
-	if len(ps.pending) == 0 {
-		return nil
-	}
-	var dets []firedDetection
-	for _, p := range ps.pending {
-		e.applyPending(ps, p)
-		if det, fire := e.checkDetection(ps, p.opIdx); fire {
-			dets = append(dets, det)
-		}
-	}
-	ps.pending = ps.pending[:0]
-	return dets
-}
-
-// Flush applies every queued measurement result across all processes,
-// dispatching any detections that fire. It returns once the scoreboard
-// reflects all operations observed so far.
-func (e *Engine) Flush() {
-	var dets []firedDetection
-	for i := range e.procs.shards {
-		sh := &e.procs.shards[i]
-		sh.mu.Lock()
-		for _, ps := range sh.m {
-			dets = append(dets, e.drainPending(ps)...)
-		}
-		sh.mu.Unlock()
-	}
-	e.dispatch(dets)
+	e.files.store(contentID, cur)
 }
 
 // Report returns the scoreboard snapshot for pid (resolved to its scoring
@@ -595,39 +491,31 @@ func (e *Engine) Report(pid int) (ProcessReport, bool) {
 	}
 	sh := e.procs.shard(pid)
 	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	ps, ok := sh.m[pid]
 	if !ok {
-		sh.mu.Unlock()
 		return ProcessReport{}, false
 	}
-	dets := e.drainPending(ps)
-	rep := ps.report()
-	sh.mu.Unlock()
-	e.dispatch(dets)
-	return rep, true
+	return ps.report(), true
 }
 
 // Reports returns snapshots for every scored process, ordered by PID.
 func (e *Engine) Reports() []ProcessReport {
 	var out []ProcessReport
-	var dets []firedDetection
 	for i := range e.procs.shards {
 		sh := &e.procs.shards[i]
 		sh.mu.Lock()
 		for _, ps := range sh.m {
-			dets = append(dets, e.drainPending(ps)...)
 			out = append(out, ps.report())
 		}
 		sh.mu.Unlock()
 	}
-	e.dispatch(dets)
 	sort.Slice(out, func(i, j int) bool { return out[i].PID < out[j].PID })
 	return out
 }
 
 // Detections returns all detections in occurrence order.
 func (e *Engine) Detections() []Detection {
-	e.Flush()
 	e.detMu.Lock()
 	defer e.detMu.Unlock()
 	out := make([]Detection, len(e.detections))

@@ -120,10 +120,10 @@ type ContentSource interface {
 
 // RangeReader is an optional ContentSource capability: a source that can
 // serve a byte range without materialising the whole file implements it,
-// and the engine's sampled measurement tier and incremental-entropy write
-// capture use it to read only the bytes they need. ContentRange returns the
-// file bytes in [off, off+n) — shorter at end of file, empty when off is at
-// or past it — together with the file's total size.
+// and the engine's sampled measurement tier uses it to read only the
+// header sample. ContentRange returns the file bytes in [off, off+n) —
+// shorter at end of file, empty when off is at or past it — together with
+// the file's total size.
 type RangeReader interface {
 	ContentRange(id uint64, off, n int64) (data []byte, size int64, err error)
 }

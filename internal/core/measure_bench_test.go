@@ -18,9 +18,9 @@ import (
 )
 
 // BenchmarkMeasureMemoized measures one full-tier measurement through
-// prepareMeasure: mode=plain runs the kernels (magic + entropy + sdhash)
-// every time; mode=memoized hashes the content and resolves the state from
-// a warm memo cache.
+// Engine.measure: mode=plain runs the kernels (magic + entropy + sdhash)
+// every time; mode=memoized hashes the content and resolves the state
+// from a warm memo cache.
 func BenchmarkMeasureMemoized(b *testing.B) {
 	const root = "/Users/victim/Documents"
 	for _, size := range benchSizes {
@@ -49,14 +49,14 @@ func BenchmarkMeasureMemoized(b *testing.B) {
 				e := New(cfg, testSource{fs})
 				// Warm: the first measurement fills the cache (memoized mode)
 				// and faults nothing thereafter.
-				if st := e.prepareMeasure(id, false).state(); st == nil {
+				if st := e.measure(id, false, false); st == nil {
 					b.Fatal("nil state")
 				}
 				b.SetBytes(int64(len(content)))
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if st := e.prepareMeasure(id, false).state(); st == nil {
+					if st := e.measure(id, false, false); st == nil {
 						b.Fatal("nil state")
 					}
 				}

@@ -13,10 +13,10 @@ import (
 )
 
 // These tests pin the hot-path measurement optimisations: content-hash
-// memoization, incremental entropy, and the two-tier scoring ladder. The
-// first two promise bit-identical verdicts — proven by DeepEqual against a
-// plain engine over the same deterministic workload — while the ladder
-// promises only that escalation converges on anything suspicious.
+// memoization and the two-tier scoring ladder. The memo promises
+// bit-identical verdicts — proven by DeepEqual against a plain engine over
+// the same deterministic workload — while the ladder promises only that
+// escalation converges on anything suspicious.
 
 // encryptionWorkload runs the Class A attack plus a benign edit over a
 // fresh deterministic filesystem under cfg, returning the final scoreboard
@@ -91,86 +91,23 @@ func TestMeasureMemoizedBitIdentical(t *testing.T) {
 }
 
 // TestMeasureMemoizedBitIdenticalPooled repeats the memoization identity
-// check with a measurement pool, where cache lookups race pool workers for
-// the same content.
+// check with a pool of engines measuring concurrently against one shared
+// cache (a host fleet), where lookups and fills race for the same content.
 func TestMeasureMemoizedBitIdenticalPooled(t *testing.T) {
 	base := DefaultConfig(testRoot)
-	base.Workers = 4
 	wantReports, wantDets := encryptionWorkload(t, base)
 
 	cfg := base
 	cfg.MeasureCache = measurecache.New(64 << 20)
-	gotReports, gotDets := encryptionWorkload(t, cfg)
-	if !reflect.DeepEqual(wantReports, gotReports) {
-		t.Fatalf("pooled memoized scoreboards diverge:\n plain: %+v\n memo:  %+v", wantReports, gotReports)
-	}
-	if !reflect.DeepEqual(wantDets, gotDets) {
-		t.Fatalf("pooled memoized detections diverge:\n plain: %+v\n memo:  %+v", wantDets, gotDets)
-	}
-}
-
-// patchWorkload mutates files with partial overwrites, appends and repeated
-// same-handle writes — the access shapes the incremental entropy tracker
-// folds — then encrypts a few, returning the final scoreboard and
-// detections.
-func patchWorkload(t *testing.T, cfg Config) ([]ProcessReport, []Detection) {
-	t.Helper()
-	fs, eng := setup(t, cfg)
-	infos, err := fs.List(testRoot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	editor := 310
-	for round := 0; round < 3; round++ {
-		for i, info := range infos {
-			h, err := fs.Open(editor, info.Path, vfs.ReadWrite)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Overwrite an interior range, then extend the file, with two
-			// writes on one handle so the second write folds through a
-			// histogram the first one already updated.
-			h.SeekTo(int64(128 * (i + 1)))
-			if _, err := h.Write(corpus.Generate("txt", int64(round*100+i), 512)); err != nil {
-				t.Fatal(err)
-			}
-			h.SeekTo(8192 + int64(round)*256)
-			if _, err := h.Write(corpus.Generate("csv", int64(round), 256)); err != nil {
-				t.Fatal(err)
-			}
-			if err := h.Close(); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	attacker := 510
-	for _, info := range infos[:10] {
-		encryptInPlace(t, fs, attacker, info.Path)
-	}
-	return eng.Reports(), eng.Detections()
-}
-
-// TestIncrementalEntropyBitIdentical proves the incrementally maintained
-// histograms change no verdict: overwrites, appends and rewrites score
-// bit-identically with the tracker on and off, in both synchronous and
-// pooled engines.
-func TestIncrementalEntropyBitIdentical(t *testing.T) {
-	for _, workers := range []int{0, 4} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			base := DefaultConfig(testRoot)
-			base.Workers = workers
-			wantReports, wantDets := patchWorkload(t, base)
-
-			cfg := base
-			cfg.IncrementalEntropy = true
-			gotReports, gotDets := patchWorkload(t, cfg)
+	for i := 0; i < 4; i++ {
+		t.Run(fmt.Sprintf("engine=%d", i), func(t *testing.T) {
+			t.Parallel()
+			gotReports, gotDets := encryptionWorkload(t, cfg)
 			if !reflect.DeepEqual(wantReports, gotReports) {
-				t.Fatalf("incremental scoreboards diverge:\n plain:       %+v\n incremental: %+v",
-					wantReports, gotReports)
+				t.Fatalf("pooled memoized scoreboards diverge:\n plain: %+v\n memo:  %+v", wantReports, gotReports)
 			}
 			if !reflect.DeepEqual(wantDets, gotDets) {
-				t.Fatalf("incremental detections diverge:\n plain:       %+v\n incremental: %+v",
-					wantDets, gotDets)
+				t.Fatalf("pooled memoized detections diverge:\n plain: %+v\n memo:  %+v", wantDets, gotDets)
 			}
 		})
 	}

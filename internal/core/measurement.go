@@ -17,14 +17,13 @@ import (
 // the registry's declared feature needs — when no registered unit consumes
 // FeatContent, the engine never calls the ContentSource at all.
 //
-// Three optimisation paths can shortcut the kernels, none of which changes
-// any verdict:
+// A measurement has one path: read the content with no engine lock held,
+// look it up in the memo, and run the kernels inline on a miss. Two
+// optimisations can shortcut the kernels, neither of which changes any
+// verdict:
 //
 //   - the measurement memo cache (Config.MeasureCache) resolves content
 //     already measured anywhere in the fleet by hash lookup;
-//   - the incremental entropy tracker (Config.IncrementalEntropy) keeps a
-//     per-file byte histogram folded forward by each write, replacing the
-//     full-content entropy rescan with an O(256) readout;
 //   - the sampled tier (Config.Tier = TierSampled) reads and measures only
 //     the file's header area until the process earns escalation.
 
@@ -91,38 +90,22 @@ func stateCost(st *fileState) int64 {
 }
 
 // measureSpec is one prepared measurement: the captured content (or header
-// sample) plus everything the kernels need that was resolved on the event
-// path — the tier flavour, a histogram-supplied entropy value, the memo key
-// to fill on completion, and the incremental-tracker install ticket.
+// sample), its tier flavour and the memo key to fill on completion.
 type measureSpec struct {
 	content  []byte
 	fullSize int64 // sampled mode: the file's total size
 	sampled  bool
-	// knownEntropy, when haveEntropy is set, replaces the content scan
-	// (incremental histogram hit; bit-identical to the rescan).
-	knownEntropy float64
-	haveEntropy  bool
 	// memoKey is filled into the memo cache after the kernels run.
 	memoKey measurecache.Key
 	useMemo bool
-	// install schedules the computed histogram as file installID's
-	// incremental tracker, valid only if its generation is still installGen.
-	install    bool
-	installID  uint64
-	installGen uint64
 }
 
 // spanDetail names the measurement flavour for a causal span: the ladder
-// tier, the entropy source and whether the result feeds the memo cache.
+// tier and whether the result feeds the memo cache.
 func (sp *measureSpec) spanDetail() string {
 	d := "tier=full"
 	if sp.sampled {
 		d = "tier=sampled"
-	}
-	if sp.haveEntropy {
-		d += " entropy=incremental"
-	} else {
-		d += " entropy=scan"
 	}
 	if sp.useMemo {
 		d += " memo=store"
@@ -130,15 +113,15 @@ func (sp *measureSpec) spanDetail() string {
 	return d
 }
 
-// runMeasure executes a prepared measurement: on the event path in
-// synchronous mode, on a pool worker otherwise.
+// runMeasure runs the kernels over a prepared measurement and fills the
+// memo on the way out.
 func (e *Engine) runMeasure(sp measureSpec) *fileState {
 	if tl := e.tel; tl != nil {
 		t0 := time.Now()
 		defer func() { tl.measureLat.ObserveDuration(time.Since(t0)) }()
 	}
-	// Measurements sample independently of the operation that queued them:
-	// with a pool they run on worker goroutines, long after Handle returned.
+	// Measurements sample independently of the operation they serve: a
+	// PreEvent snapshot belongs to no scored operation.
 	if e.spans.Sample() {
 		t0 := time.Now()
 		defer func() {
@@ -147,73 +130,50 @@ func (e *Engine) runMeasure(sp measureSpec) *fileState {
 			}, t0, time.Since(t0))
 		}()
 	}
+	var st *fileState
 	if sp.sampled {
-		st := measureSampled(sp.content, sp.fullSize)
-		if sp.useMemo {
-			e.memo.Put(sp.memoKey, st, stateCost(st))
+		st = measureSampled(sp.content, sp.fullSize)
+	} else {
+		st = measureFile(sp.content)
+		if e.cfg.Tier == TierSampled {
+			// Full measurements in a sampled-tier session also record the
+			// header-area entropy, so deltas against sampled previous
+			// versions compare prefix against prefix.
+			n := min(e.sampleN, len(sp.content))
+			st.sampleEntropy = entropy.Shannon(sp.content[:n])
 		}
-		return st
-	}
-	st := &fileState{typ: magic.Identify(sp.content), size: int64(len(sp.content))}
-	var hist *entropy.Histogram
-	switch {
-	case sp.haveEntropy:
-		st.entropy = sp.knownEntropy
-	case sp.install:
-		// Build the histogram once and read entropy from it — the same
-		// frequency counts Shannon would build, so the value is
-		// bit-identical — then keep it as the file's tracker.
-		hist = entropy.HistogramOf(sp.content)
-		st.entropy = hist.Entropy()
-	default:
-		st.entropy = entropy.Shannon(sp.content)
-	}
-	if d, err := sdhash.Compute(sp.content); err == nil {
-		st.digest = d
-	}
-	if e.cfg.Tier == TierSampled {
-		// Full measurements in a sampled-tier session also record the
-		// header-area entropy, so deltas against sampled previous versions
-		// compare prefix against prefix.
-		n := e.sampleN
-		if n > len(sp.content) {
-			n = len(sp.content)
-		}
-		st.sampleEntropy = entropy.Shannon(sp.content[:n])
 	}
 	if sp.useMemo {
 		e.memo.Put(sp.memoKey, st, stateCost(st))
 	}
-	if hist != nil {
-		e.incrInstall(sp.installID, sp.installGen, hist, int64(len(sp.content)))
-	}
 	return st
 }
 
-// startMeasure reads the file's content at the requested tier and starts
-// its measurement: memo cache first, then the kernels — on the pool when
-// configured, inline otherwise. ok is false when the content cannot be read
-// (counted in telemetry — a read failure is not "empty content") or when
-// skipEmpty is set and the file is empty.
-func (e *Engine) startMeasure(id uint64, sampled, skipEmpty bool) (*measureTask, bool) {
+// measure reads the file's content at the requested tier and measures it:
+// memo cache first, then the kernels inline. The caller holds no engine
+// lock. It returns nil when the content cannot be read (counted in
+// telemetry — a read failure is not "empty content", e.g. the file was
+// deleted in the window since the operation completed) or when skipEmpty
+// is set and the file is empty.
+func (e *Engine) measure(id uint64, sampled, skipEmpty bool) *fileState {
 	var sp measureSpec
 	if sampled {
 		data, size, err := readRange(e.src, id, 0, int64(e.sampleN))
 		if err != nil {
 			e.tel.readFailed()
-			return nil, false
+			return nil
 		}
 		sp = measureSpec{content: data, fullSize: size, sampled: true}
 	} else {
 		content, err := e.src.Content(id)
 		if err != nil {
 			e.tel.readFailed()
-			return nil, false
+			return nil
 		}
 		sp = measureSpec{content: content, fullSize: int64(len(content))}
 	}
 	if skipEmpty && len(sp.content) == 0 {
-		return nil, false
+		return nil
 	}
 	if e.memo != nil {
 		// A sampled key must also discriminate the full size: two files may
@@ -234,21 +194,11 @@ func (e *Engine) startMeasure(id uint64, sampled, skipEmpty bool) (*measureTask,
 					Name: "measure", Cat: "measure", Lane: e.lane, Detail: detail,
 				}, time.Now(), 0)
 			}
-			return resolvedTask(v.(*fileState)), true
+			return v.(*fileState)
 		}
 		sp.useMemo = true
 	}
-	if !sampled && e.cfg.IncrementalEntropy {
-		if ent, ok, gen := e.incrPrepare(id, len(sp.content)); ok {
-			sp.knownEntropy, sp.haveEntropy = ent, true
-		} else {
-			sp.install, sp.installID, sp.installGen = true, id, gen
-		}
-	}
-	if e.pool != nil {
-		return e.pool.submit(func() *fileState { return e.runMeasure(sp) }), true
-	}
-	return resolvedTask(e.runMeasure(sp)), true
+	return e.runMeasure(sp)
 }
 
 // wantContent reports whether any registered unit consumes measured file
@@ -257,18 +207,15 @@ func (e *Engine) wantContent() bool { return e.feats.Has(indicator.FeatContent) 
 
 // snapshot caches the current content state of the file with the given ID
 // if not already cached. The content read and measurement run without any
-// engine lock held; with a measurement pool the digestion itself is
-// deferred to a worker and later lookups wait on the resolving task.
+// engine lock held.
 func (e *Engine) snapshot(id uint64, sampled bool) {
 	if e.files.has(id) {
 		return
 	}
-	if task, ok := e.startMeasure(id, sampled, true); ok {
-		e.files.storeIfMissing(id, task)
+	if st := e.measure(id, sampled, true); st != nil {
+		e.files.storeIfMissing(id, st)
 	}
 }
-
-func (e *Engine) snapshotIfMissing(id uint64, sampled bool) { e.snapshot(id, sampled) }
 
 // needsContent reports whether the operation evaluates a file
 // transformation and therefore needs the file's current content measured;
@@ -285,19 +232,6 @@ func (e *Engine) needsContent(ev *Event) bool {
 		return e.inRoot(ev.NewPath) && (ev.ReplacedID != 0 || e.files.has(ev.FileID))
 	}
 	return false
-}
-
-// prepareMeasure reads the file's content (no engine lock held) and starts
-// its measurement: on the pool when configured, inline otherwise. It
-// returns nil when the content cannot be read (e.g. the file was deleted in
-// the window since the operation completed); the failure is counted in
-// telemetry so it is distinguishable from genuinely empty content.
-func (e *Engine) prepareMeasure(id uint64, sampled bool) *measureTask {
-	task, ok := e.startMeasure(id, sampled, false)
-	if !ok {
-		return nil
-	}
-	return task
 }
 
 // escalated reports whether pid's scoring group has been promoted to full
@@ -348,147 +282,4 @@ func (e *Engine) dissimilar(prev *sdhash.Digest, next *sdhash.Digest) bool {
 		return true
 	}
 	return prev.Compare(next) <= e.cfg.SimilarityMatchMax
-}
-
-// The incremental entropy tracker. Each tracked file's incrState lives on
-// its fileShard; the engine folds writes through PreEvent/Handle pairs and
-// consults the histogram at full-measurement time. Every ambiguous mutation
-// invalidates conservatively — the only cost of invalidation is one full
-// rescan at the file's next measurement.
-
-// incrPrepare consults the file's tracker for a full measurement of content
-// about to run: a valid, quiescent histogram whose bookkeeping matches the
-// content length yields the entropy in O(256). Otherwise it returns the
-// current generation as an install ticket for the histogram the measurement
-// will build.
-func (e *Engine) incrPrepare(id uint64, contentLen int) (ent float64, ok bool, gen uint64) {
-	sh := e.files.shard(id)
-	sh.mu.Lock()
-	is := sh.incr[id]
-	if is == nil {
-		is = &incrState{}
-		sh.incr[id] = is
-	}
-	if is.hist != nil && !is.pendSet && is.hist.Total() == contentLen && is.hist.Valid() {
-		ent, ok = is.hist.Entropy(), true
-	}
-	gen = is.gen
-	sh.mu.Unlock()
-	return ent, ok, gen
-}
-
-// incrInstall adopts a freshly built histogram as file id's tracker, unless
-// the file mutated (generation advanced) since the content was captured.
-func (e *Engine) incrInstall(id uint64, gen uint64, hist *entropy.Histogram, size int64) {
-	sh := e.files.shard(id)
-	sh.mu.Lock()
-	if is := sh.incr[id]; is != nil && is.gen == gen && !is.pendSet {
-		is.hist, is.size = hist, size
-	}
-	sh.mu.Unlock()
-}
-
-// incrInvalidate discards the file's histogram after a mutation the tracker
-// cannot fold exactly (truncation), keeping the entry so stale installs
-// stay rejected.
-func (e *Engine) incrInvalidate(id uint64) {
-	sh := e.files.shard(id)
-	sh.mu.Lock()
-	if is := sh.incr[id]; is != nil {
-		is.gen++
-		is.hist = nil
-		is.pendSet = false
-	}
-	sh.mu.Unlock()
-}
-
-// incrDrop forgets the file's tracker entirely (deletion, replacement).
-func (e *Engine) incrDrop(id uint64) {
-	sh := e.files.shard(id)
-	sh.mu.Lock()
-	delete(sh.incr, id)
-	sh.mu.Unlock()
-}
-
-// incrBeginWrite folds the write's replaced byte range out of the file's
-// histogram. Called from PreEvent, where the ContentSource still observes
-// the pre-write bytes. Anything unattributable — a second in-flight write,
-// a sparse write past the tracked size, a short or failed range read —
-// invalidates the histogram instead of guessing.
-func (e *Engine) incrBeginWrite(ev *Event) {
-	sh := e.files.shard(ev.FileID)
-	sh.mu.Lock()
-	is := sh.incr[ev.FileID]
-	if is == nil || is.hist == nil {
-		sh.mu.Unlock()
-		return
-	}
-	if is.pendSet || ev.Offset < 0 || ev.Offset > is.size {
-		is.gen++
-		is.hist = nil
-		is.pendSet = false
-		sh.mu.Unlock()
-		return
-	}
-	oldN := int64(len(ev.Data))
-	if ev.Offset+oldN > is.size {
-		oldN = is.size - ev.Offset
-	}
-	gen := is.gen
-	sh.mu.Unlock()
-
-	var old []byte
-	if oldN > 0 {
-		var err error
-		old, _, err = readRange(e.src, ev.FileID, ev.Offset, oldN)
-		if err != nil {
-			e.tel.readFailed()
-			old = nil
-		}
-	}
-
-	sh.mu.Lock()
-	cur := sh.incr[ev.FileID]
-	if cur != is || cur.hist == nil || cur.gen != gen || cur.pendSet {
-		// The file moved on while the range was being read; whoever moved it
-		// already invalidated or superseded the histogram.
-		sh.mu.Unlock()
-		return
-	}
-	if int64(len(old)) != oldN {
-		cur.gen++
-		cur.hist = nil
-		sh.mu.Unlock()
-		return
-	}
-	cur.hist.Sub(old)
-	cur.pendSet, cur.pendPID, cur.pendOff, cur.pendLen = true, ev.PID, ev.Offset, len(ev.Data)
-	sh.mu.Unlock()
-}
-
-// incrApplyWrite folds the completed write's bytes into the histogram;
-// called from handleWrite with the proc-shard lock held (proc → file lock
-// order). A write with no matching PreEvent capture invalidates — the
-// replaced bytes were never folded out.
-func (e *Engine) incrApplyWrite(ev *Event) {
-	sh := e.files.shard(ev.FileID)
-	sh.mu.Lock()
-	is := sh.incr[ev.FileID]
-	if is == nil {
-		is = &incrState{}
-		sh.incr[ev.FileID] = is
-	}
-	is.gen++
-	if is.hist != nil && is.pendSet &&
-		is.pendPID == ev.PID && is.pendOff == ev.Offset && is.pendLen == len(ev.Data) {
-		is.pendSet = false
-		is.hist.Add(ev.Data)
-		if end := ev.Offset + int64(len(ev.Data)); end > is.size {
-			is.size = end
-		}
-	} else if is.hist != nil {
-		is.hist = nil
-		is.pendSet = false
-	}
-	sh.mu.Unlock()
 }

@@ -24,7 +24,6 @@ func obsAttack(t *testing.T, cfg Config, pid int) (ProcessReport, *Engine) {
 	for _, info := range infos {
 		encryptInPlace(t, fs, pid, info.Path)
 	}
-	eng.Flush()
 	rep, ok := eng.Report(pid)
 	if !ok {
 		t.Fatal("no report")

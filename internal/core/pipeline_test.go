@@ -104,7 +104,6 @@ func TestDisabledIndicatorNeverMeasures(t *testing.T) {
 	if err := fs.Delete(pid, testRoot+"/a.txt"); err != nil {
 		t.Fatal(err)
 	}
-	eng.Flush()
 
 	if n := src.calls.Load(); n != 0 {
 		t.Fatalf("ContentSource called %d times with no content-consuming unit registered", n)
@@ -139,7 +138,6 @@ func TestTelemetrySeriesFollowRegistry(t *testing.T) {
 	}
 	pid := 90
 	encryptInPlace(t, fs, pid, decoy)
-	eng.Flush()
 
 	if v := reg.Counter(`engine_indicator_fires_total{indicator="honeyfile"}`).Value(); v == 0 {
 		t.Fatal("honeyfile series did not count the decoy touch")
@@ -169,7 +167,6 @@ func TestHoneyfileDetection(t *testing.T) {
 	}
 	pid := 91
 	encryptInPlace(t, fs, pid, decoy)
-	eng.Flush()
 
 	if len(dets) == 0 {
 		t.Fatal("decoy write produced no detection")
@@ -205,7 +202,6 @@ func TestHoneyfileRenameAndDelete(t *testing.T) {
 	if err := fs.Delete(pid, decoyB); err != nil {
 		t.Fatal(err)
 	}
-	eng.Flush()
 
 	rep, ok := eng.Report(pid)
 	if !ok {

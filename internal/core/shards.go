@@ -4,7 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"cryptodrop/internal/entropy"
 	"cryptodrop/internal/magic"
 )
 
@@ -68,33 +67,10 @@ const fileShardCount = 64
 type fileShard struct {
 	mu sync.Mutex
 	// states caches the measured previous-version state of protected
-	// files; values may still be resolving on the measurement pool.
-	states map[uint64]*measureTask
+	// files.
+	states map[uint64]*fileState
 	// creators records which process created each file.
 	creators map[uint64]int
-	// incr tracks incrementally maintained content histograms
-	// (Config.IncrementalEntropy); nil entries never exist — a file either
-	// has a tracker or is absent.
-	incr map[uint64]*incrState
-}
-
-// incrState tracks one file's incrementally maintained byte histogram. hist,
-// when non-nil, reflects the file's byte counts as of the last full
-// measurement plus every write folded through since; gen counts content
-// mutations so an asynchronously computed histogram whose snapshot predates
-// the current generation is rejected at install time. The pend* fields
-// describe the single in-flight write whose replaced range has been folded
-// out (PreEvent) but whose new bytes have not yet been folded in (Handle).
-// Guarded by the owning fileShard's mutex.
-type incrState struct {
-	gen  uint64
-	hist *entropy.Histogram
-	// size is the content length hist reflects.
-	size    int64
-	pendSet bool
-	pendPID int
-	pendOff int64
-	pendLen int
 }
 
 // fileTable is the sharded previous-version file-state cache.
@@ -104,9 +80,8 @@ type fileTable struct {
 
 func (t *fileTable) init() {
 	for i := range t.shards {
-		t.shards[i].states = make(map[uint64]*measureTask)
+		t.shards[i].states = make(map[uint64]*fileState)
 		t.shards[i].creators = make(map[uint64]int)
-		t.shards[i].incr = make(map[uint64]*incrState)
 	}
 }
 
@@ -114,7 +89,7 @@ func (t *fileTable) shard(id uint64) *fileShard {
 	return &t.shards[id&(fileShardCount-1)]
 }
 
-// has reports whether a (possibly still resolving) state is cached for id.
+// has reports whether a state is cached for id.
 func (t *fileTable) has(id uint64) bool {
 	sh := t.shard(id)
 	sh.mu.Lock()
@@ -123,32 +98,30 @@ func (t *fileTable) has(id uint64) bool {
 	return ok
 }
 
-// entry returns the cached state task for id, or nil. The task may still be
-// resolving; callers wait via (*measureTask).state outside any file-shard
-// lock.
-func (t *fileTable) entry(id uint64) *measureTask {
+// entry returns the cached state for id, or nil.
+func (t *fileTable) entry(id uint64) *fileState {
 	sh := t.shard(id)
 	sh.mu.Lock()
-	en := sh.states[id]
+	st := sh.states[id]
 	sh.mu.Unlock()
-	return en
+	return st
 }
 
-// store replaces the cached state for id with a resolved measurement.
+// store replaces the cached state for id.
 func (t *fileTable) store(id uint64, st *fileState) {
 	sh := t.shard(id)
 	sh.mu.Lock()
-	sh.states[id] = resolvedTask(st)
+	sh.states[id] = st
 	sh.mu.Unlock()
 }
 
-// storeIfMissing caches a state task for id unless one is already present
+// storeIfMissing caches a state for id unless one is already present
 // (snapshot semantics: first version wins until evaluated).
-func (t *fileTable) storeIfMissing(id uint64, en *measureTask) {
+func (t *fileTable) storeIfMissing(id uint64, st *fileState) {
 	sh := t.shard(id)
 	sh.mu.Lock()
 	if _, ok := sh.states[id]; !ok {
-		sh.states[id] = en
+		sh.states[id] = st
 	}
 	sh.mu.Unlock()
 }
@@ -184,69 +157,6 @@ func (t *fileTable) dropCreator(id uint64) {
 	sh.mu.Lock()
 	delete(sh.creators, id)
 	sh.mu.Unlock()
-}
-
-// measureTask is one unit of measurement work: the (possibly asynchronous)
-// computation of a fileState from captured content. st is written exactly
-// once before done is closed, so readers that wait on done observe it
-// without further synchronisation.
-type measureTask struct {
-	st   *fileState
-	done chan struct{}
-}
-
-// closedCh is the shared already-closed channel backing resolved tasks.
-var closedCh = func() chan struct{} {
-	c := make(chan struct{})
-	close(c)
-	return c
-}()
-
-// resolvedTask wraps an already computed state as a completed task.
-func resolvedTask(st *fileState) *measureTask {
-	return &measureTask{st: st, done: closedCh}
-}
-
-// state blocks until the measurement completes and returns it. A nil task
-// yields a nil state.
-func (t *measureTask) state() *fileState {
-	if t == nil {
-		return nil
-	}
-	<-t.done
-	return t.st
-}
-
-// measurePool bounds concurrent measurement work. Submission acquires a
-// slot (blocking when all Workers slots are busy — bounded backpressure,
-// never unbounded goroutine growth) and computes the measurement on a
-// fresh goroutine, so the filesystem event path returns immediately while
-// the sliding-window digest and entropy kernels run elsewhere.
-type measurePool struct {
-	sem chan struct{}
-	// tel times each measurement and counts saturated submissions; nil
-	// when telemetry is off (the facade's methods are nil-safe).
-	tel *engineTelemetry
-}
-
-func newMeasurePool(workers int, tel *engineTelemetry) *measurePool {
-	return &measurePool{sem: make(chan struct{}, workers), tel: tel}
-}
-
-// submit schedules fn — the engine's prepared measurement closure — on a
-// worker and returns its task handle.
-func (p *measurePool) submit(fn func() *fileState) *measureTask {
-	t := &measureTask{done: make(chan struct{})}
-	if tl := p.tel; tl != nil && len(p.sem) == cap(p.sem) {
-		tl.poolSaturated.Inc()
-	}
-	p.sem <- struct{}{}
-	go func() {
-		t.st = fn()
-		close(t.done)
-		<-p.sem
-	}()
-	return t
 }
 
 // sniffKey identifies a sniffed read payload: the file it came from, the

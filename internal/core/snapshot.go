@@ -14,9 +14,9 @@ import (
 // This file implements the engine side of the durable-session contract: a
 // versioned, deterministic capture of every piece of state that decides a
 // verdict — the scoreboard shards, the previous-version file cache, the
-// creator map, the incremental-entropy histograms, the detection log, the
-// operation counter, the payload-blind flag, and the flight recorder — plus
-// the restore path that rebuilds an identically-configured engine from it.
+// creator map, the detection log, the operation counter, the payload-blind
+// flag, and the flight recorder — plus the restore path that rebuilds an
+// identically-configured engine from it.
 //
 // The contract has two halves:
 //
@@ -31,14 +31,15 @@ import (
 //     flight recorder's sequence counter resumes where it stopped.
 //
 // Callers must quiesce the engine around Snapshot and Restore: no
-// concurrent PreEvent/Handle/Flush. The host guarantees this by
-// checkpointing only between batches (queued sessions) or under the direct
-// mutex (direct sessions).
+// concurrent PreEvent/Handle. The host guarantees this by checkpointing
+// only between batches (queued sessions) or under the direct mutex (direct
+// sessions).
 
 // engineSnapshotVersion is the engine snapshot format version. Bump it when
 // the payload layout changes; restore refuses other versions with a typed
-// error wrapping snapshot.ErrVersion.
-const engineSnapshotVersion = 1
+// error wrapping snapshot.ErrVersion. Version 2 dropped version 1's
+// per-file incremental-entropy tracker section.
+const engineSnapshotVersion = 2
 
 // The durable-session sentinels, re-exported from internal/snapshot under
 // the names the facade exposes.
@@ -55,13 +56,13 @@ var (
 
 // configHash returns a stable fingerprint ("cfg1-…") of the scoring-relevant
 // engine configuration: the fields that change what verdict an event stream
-// produces. Performance and observability knobs (Workers, MeasureCache,
-// IncrementalEntropy, Telemetry, tracers, sinks) are deliberately excluded —
-// they are verdict-preserving by construction (pinned by the bit-identity
-// conformance suites), so a checkpoint taken with memoization on restores
-// fine into an engine with it off. FamilyOf cannot be hashed (it is code);
-// snapshots store already-resolved scoring-group PIDs, so restoring under a
-// different family mapping only affects operations after the restore point.
+// produces. Performance and observability knobs (MeasureCache, Telemetry,
+// tracers, sinks) are deliberately excluded — they are verdict-preserving
+// by construction (pinned by the bit-identity conformance suites), so a
+// checkpoint taken with memoization on restores fine into an engine with it
+// off. FamilyOf cannot be hashed (it is code); snapshots store
+// already-resolved scoring-group PIDs, so restoring under a different family
+// mapping only affects operations after the restore point.
 func (e *Engine) configHash() string {
 	c := &e.cfg
 	canon := fmt.Sprintf(
@@ -116,13 +117,9 @@ func (e *Engine) snapshotHeader() snapshot.Header {
 }
 
 // Snapshot captures the engine's complete scoring state as a sealed,
-// versioned byte blob. It first applies every queued measurement result
-// (Flush), so the snapshot reflects all operations observed so far; queued
-// evaluations apply under their original operation indices, so draining now
-// is state-identical to draining later. The caller must quiesce the engine:
-// no concurrent PreEvent, Handle or Flush.
+// versioned byte blob reflecting every operation observed so far. The
+// caller must quiesce the engine: no concurrent PreEvent or Handle.
 func (e *Engine) Snapshot() ([]byte, error) {
-	e.Flush()
 	enc := snapshot.NewEncoder()
 	enc.Varint(e.opIndex.Load())
 	enc.Bool(e.payloadBlind.Load())
@@ -156,7 +153,7 @@ func (e *Engine) Restore(data []byte) error {
 	blind := d.Bool()
 	dets := decodeDetections(d)
 	procs := e.decodeProcs(d)
-	states, creators, incrs := decodeFiles(d)
+	states, creators := decodeFiles(d)
 	flight, recorded, hasFlight := decodeFlight(d)
 	if d.Err() != nil {
 		return d.Err()
@@ -184,12 +181,6 @@ func (e *Engine) Restore(data []byte) error {
 	}
 	for id, pid := range creators {
 		e.files.setCreator(id, pid)
-	}
-	for id, inc := range incrs {
-		sh := e.files.shard(id)
-		sh.mu.Lock()
-		sh.incr[id] = inc
-		sh.mu.Unlock()
 	}
 	if t := e.tel; t != nil && t.recorder != nil {
 		if hasFlight {
@@ -381,44 +372,34 @@ func (e *Engine) decodeProcs(d *snapshot.Decoder) []*procState {
 	return out
 }
 
-// encodeFiles writes the previous-version file cache (resolving any
-// measurement still in flight on the pool), the creator map and the
-// incremental-entropy trackers, each globally sorted by file ID.
+// encodeFiles writes the previous-version file cache and the creator map,
+// each globally sorted by file ID.
 func (e *Engine) encodeFiles(enc *snapshot.Encoder) error {
 	type fileEntry struct {
-		id   uint64
-		task *measureTask
+		id uint64
+		st *fileState
 	}
 	var entries []fileEntry
 	var creatorIDs []uint64
 	creators := make(map[uint64]int)
-	var incrIDs []uint64
-	incrs := make(map[uint64]*incrState)
 	for i := range e.files.shards {
 		sh := &e.files.shards[i]
 		sh.mu.Lock()
-		for id, task := range sh.states {
-			entries = append(entries, fileEntry{id: id, task: task})
+		for id, st := range sh.states {
+			entries = append(entries, fileEntry{id: id, st: st})
 		}
 		for id, pid := range sh.creators {
 			creatorIDs = append(creatorIDs, id)
 			creators[id] = pid
 		}
-		for id, inc := range sh.incr {
-			incrIDs = append(incrIDs, id)
-			incrs[id] = inc
-		}
 		sh.mu.Unlock()
 	}
 	sort.Slice(entries, func(i, j int) bool { return entries[i].id < entries[j].id })
 	sort.Slice(creatorIDs, func(i, j int) bool { return creatorIDs[i] < creatorIDs[j] })
-	sort.Slice(incrIDs, func(i, j int) bool { return incrIDs[i] < incrIDs[j] })
 
 	enc.Uvarint(uint64(len(entries)))
 	for _, en := range entries {
-		// state() blocks until a pool measurement resolves; no shard lock is
-		// held here, so waiting is safe.
-		st := en.task.state()
+		st := en.st
 		enc.Uvarint(en.id)
 		enc.Bool(st != nil)
 		if st == nil {
@@ -448,30 +429,10 @@ func (e *Engine) encodeFiles(enc *snapshot.Encoder) error {
 		enc.Uvarint(id)
 		enc.Varint(int64(creators[id]))
 	}
-
-	enc.Uvarint(uint64(len(incrIDs)))
-	for _, id := range incrIDs {
-		inc := incrs[id]
-		enc.Uvarint(id)
-		enc.Uvarint(inc.gen)
-		enc.Bool(inc.hist != nil)
-		if inc.hist != nil {
-			freq, total := inc.hist.Counts()
-			for _, f := range freq {
-				enc.Varint(int64(f))
-			}
-			enc.Varint(int64(total))
-		}
-		enc.Varint(inc.size)
-		enc.Bool(inc.pendSet)
-		enc.Varint(int64(inc.pendPID))
-		enc.Varint(inc.pendOff)
-		enc.Varint(int64(inc.pendLen))
-	}
 	return nil
 }
 
-func decodeFiles(d *snapshot.Decoder) (states map[uint64]*fileState, creators map[uint64]int, incrs map[uint64]*incrState) {
+func decodeFiles(d *snapshot.Decoder) (states map[uint64]*fileState, creators map[uint64]int) {
 	states = make(map[uint64]*fileState)
 	for i, n := 0, d.Count(); i < n; i++ {
 		id := d.Uvarint()
@@ -489,7 +450,7 @@ func decodeFiles(d *snapshot.Decoder) (states map[uint64]*fileState, creators ma
 				dg := new(sdhash.Digest)
 				if err := dg.UnmarshalText(text); err != nil {
 					d.Fail("file %d digest: %v", id, err)
-					return nil, nil, nil
+					return nil, nil
 				}
 				st.digest = dg
 			}
@@ -499,7 +460,7 @@ func decodeFiles(d *snapshot.Decoder) (states map[uint64]*fileState, creators ma
 		st.sampled = d.Bool()
 		st.sampleEntropy = d.F64()
 		if d.Err() != nil {
-			return nil, nil, nil
+			return nil, nil
 		}
 		states[id] = st
 	}
@@ -508,31 +469,7 @@ func decodeFiles(d *snapshot.Decoder) (states map[uint64]*fileState, creators ma
 		id := d.Uvarint()
 		creators[id] = int(d.Varint())
 	}
-	incrs = make(map[uint64]*incrState)
-	for i, n := 0, d.Count(); i < n; i++ {
-		id := d.Uvarint()
-		inc := &incrState{gen: d.Uvarint()}
-		if d.Bool() {
-			var freq [256]int
-			for j := range freq {
-				freq[j] = int(d.Varint())
-			}
-			total := int(d.Varint())
-			h := new(entropy.Histogram)
-			h.SetCounts(freq, total)
-			inc.hist = h
-		}
-		inc.size = d.Varint()
-		inc.pendSet = d.Bool()
-		inc.pendPID = int(d.Varint())
-		inc.pendOff = d.Varint()
-		inc.pendLen = int(d.Varint())
-		if d.Err() != nil {
-			return nil, nil, nil
-		}
-		incrs[id] = inc
-	}
-	return states, creators, incrs
+	return states, creators
 }
 
 // encodeFlight writes the flight recorder's buffered events and its all-time

@@ -57,7 +57,6 @@ func benchSnapshotEngine(b *testing.B) (*Engine, Config, ContentSource) {
 				Data: cipher, Size: int64(len(cipher))})
 		}
 	}
-	e.Flush()
 	return e, cfg, src
 }
 

@@ -92,16 +92,14 @@ func TestEngineSnapshotRoundTripMidStream(t *testing.T) {
 }
 
 // TestEngineSnapshotRoundTripOptimisedModes repeats the mid-stream
-// round trip under the opt-in measurement modes (incremental entropy and
-// the sampled tier with escalation latches), which carry extra snapshot
-// state: the per-file histograms and the per-process escalation flags.
+// round trip under the opt-in sampled measurement tier, whose escalation
+// latches are extra per-process snapshot state.
 func TestEngineSnapshotRoundTripOptimisedModes(t *testing.T) {
 	const pid = 501
 	for _, mode := range []struct {
 		name string
 		mut  func(*Config)
 	}{
-		{"incremental-entropy", func(c *Config) { c.IncrementalEntropy = true }},
 		{"sampled-tier", func(c *Config) { c.Tier = TierSampled }},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
@@ -178,12 +176,24 @@ func TestEngineRestoreMismatch(t *testing.T) {
 		t.Fatalf("registry drift: got %v, want registry-field mismatch", err)
 	}
 
-	// Version skew → ErrVersion.
+	// Version skew → ErrVersion, before any state is installed. Version 1
+	// is the retired layout that still carried the incremental-entropy
+	// tracker section; it is refused as a format version, not as damage.
 	regFP, cfgHash := eng.SnapshotIdentity()
-	skewed := snapshot.Seal(snapshot.Header{Version: 99, Registry: regFP, Config: cfgHash}, nil)
 	same := New(cfg, testSource{fs})
-	if err := same.Restore(skewed); !errors.Is(err, snapshot.ErrVersion) {
-		t.Fatalf("version skew: got %v, want ErrVersion", err)
+	_, payload, err := snapshot.Open(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []uint64{1, 99} {
+		skewed := snapshot.Seal(snapshot.Header{Version: v, Registry: regFP, Config: cfgHash}, payload)
+		err := same.Restore(skewed)
+		if !errors.Is(err, snapshot.ErrVersion) || errors.Is(err, ErrSnapshotCorrupt) {
+			t.Fatalf("version %d: got %v, want ErrVersion only", v, err)
+		}
+		if got := same.Reports(); len(got) != 0 {
+			t.Fatalf("version %d: refused restore installed %d scoreboard entries", v, len(got))
+		}
 	}
 
 	// Corruption → ErrSnapshotCorrupt.

@@ -71,9 +71,6 @@ type procState struct {
 	dirsTouched map[string]bool
 	// history records the score trajectory (capped, see maxHistory).
 	history []ScorePoint
-	// pending holds transformation evaluations whose measurement may
-	// still be resolving on the pool, in submission order.
-	pending []pendingApply
 	// spanOn marks the operation currently scoring this process as sampled
 	// for causal tracing: award and policy sub-spans record only while it
 	// is set. Written and read under the owning shard lock.

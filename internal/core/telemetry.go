@@ -30,8 +30,6 @@ type engineTelemetry struct {
 	measureLat *telemetry.Histogram
 	// lockWait is the sampled proc-shard lock acquisition wait.
 	lockWait *telemetry.Histogram
-	// poolSaturated counts submissions that found every pool slot busy.
-	poolSaturated *telemetry.Counter
 	// readFails counts ContentSource read failures on the measurement path.
 	// A failed read is not "empty content": it aborts the measurement, and
 	// this counter is what distinguishes the two after the fact.
@@ -74,7 +72,6 @@ func newEngineTelemetry(reg *telemetry.Registry, fr *telemetry.FlightRecorder, i
 	t.detTransformed = reg.Histogram("engine_detection_files_transformed", telemetry.CountBuckets())
 	t.measureLat = reg.Histogram("engine_measure_seconds", telemetry.DefaultLatencyBuckets())
 	t.lockWait = reg.Histogram("engine_proc_shard_lock_wait_seconds", telemetry.DefaultLatencyBuckets())
-	t.poolSaturated = reg.Counter("engine_measure_pool_saturated_total")
 	t.readFails = reg.Counter("engine_content_read_failures_total")
 	t.escalations = reg.Counter("engine_tier_escalations_total")
 	t.auditBundles = reg.Counter("engine_audit_bundles_total")
@@ -91,18 +88,6 @@ func registerObsSeries(reg *telemetry.Registry, tr *telemetry.SpanTracer) {
 	}
 	reg.GaugeFunc("engine_spans_recorded_total", func() float64 { return float64(tr.Recorded()) })
 	reg.GaugeFunc("engine_spans_dropped_total", func() float64 { return float64(tr.Dropped()) })
-}
-
-// registerPool exposes the measurement pool's live occupancy; called once
-// at engine construction when both a pool and a registry exist.
-func registerPoolGauges(reg *telemetry.Registry, pool *measurePool) {
-	if reg == nil || pool == nil {
-		return
-	}
-	reg.GaugeFunc("engine_measure_pool_inflight", func() float64 {
-		return float64(len(pool.sem))
-	})
-	reg.Gauge("engine_measure_pool_capacity").Set(int64(cap(pool.sem)))
 }
 
 // indicatorName resolves an indicator ID to its registered declared name,

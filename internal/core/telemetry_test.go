@@ -116,7 +116,6 @@ func TestTelemetryDetectionTrace(t *testing.T) {
 	cfg.OnDetection = func(d Detection) { detections = append(detections, d) }
 	cfg.Telemetry = reg
 	cfg.FlightRecorder = fr
-	cfg.Workers = 4 // exercise the measurement pool instrumentation
 	fs, eng := setup(t, cfg)
 
 	const pid = 77
@@ -130,7 +129,6 @@ func TestTelemetryDetectionTrace(t *testing.T) {
 		}
 		encryptInPlace(t, fs, pid, info.Path)
 	}
-	eng.Flush()
 	if len(detections) == 0 {
 		t.Fatal("no detection")
 	}
@@ -141,13 +139,6 @@ func TestTelemetryDetectionTrace(t *testing.T) {
 	}
 	if got := reg.Histogram("engine_detection_score", nil).Count(); got != 1 {
 		t.Errorf("detection score histogram count = %d, want 1", got)
-	}
-	snap := reg.Snapshot()
-	if cap, ok := snap.Gauges["engine_measure_pool_capacity"]; !ok || cap != 4 {
-		t.Errorf("pool capacity gauge = %v (present=%v), want 4", cap, ok)
-	}
-	if _, ok := snap.Gauges["engine_measure_pool_inflight"]; !ok {
-		t.Error("pool inflight gauge not registered")
 	}
 
 	// The trace must reconstruct the detection: accumulating event points in

@@ -21,42 +21,6 @@ func BenchmarkShannon(b *testing.B) {
 	}
 }
 
-// BenchmarkEntropyIncremental compares the cost of re-measuring a whole
-// file's entropy after one write (the full Shannon rescan) against updating
-// a maintained histogram with just the replaced byte range. The incremental
-// path's cost is proportional to the write size, not the file size.
-func BenchmarkEntropyIncremental(b *testing.B) {
-	const fileSize = 1 << 20
-	const writeSize = 16 << 10
-	file := make([]byte, fileSize)
-	rand.New(rand.NewSource(9)).Read(file)
-	patch := make([]byte, writeSize)
-	rand.New(rand.NewSource(10)).Read(patch)
-
-	b.Run("full-rescan", func(b *testing.B) {
-		b.SetBytes(fileSize)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			off := (i * writeSize) % (fileSize - writeSize)
-			copy(file[off:], patch)
-			Shannon(file)
-		}
-	})
-	b.Run("histogram-update", func(b *testing.B) {
-		h := HistogramOf(file)
-		b.SetBytes(fileSize)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			off := (i * writeSize) % (fileSize - writeSize)
-			h.Sub(file[off : off+writeSize])
-			copy(file[off:], patch)
-			h.Add(patch)
-			h.Entropy()
-		}
-	})
-}
-
 func BenchmarkShannonMixed(b *testing.B) {
 	// Document-like content: half text, half binary — exercises the
 	// frequency-table path on non-uniform data.

@@ -77,81 +77,6 @@ func shannonFromFreq(freq *[256]int, total int) float64 {
 	return math.Log2(float64(total)) - s/float64(total)
 }
 
-// Histogram is an updatable byte-frequency histogram supporting streaming
-// Shannon-entropy maintenance: instead of rescanning a whole file after
-// every write, callers fold only the replaced byte range in and out
-// (Sub the overwritten bytes, Add the new ones) and read Entropy in O(256).
-//
-// Entropy is computed from the counts by exactly the same frequency-form
-// sum Shannon uses, so a histogram whose counts match a byte slice yields
-// the bit-identical float64 Shannon would return for that slice. The zero
-// value is an empty histogram, ready to use.
-type Histogram struct {
-	freq  [256]int
-	total int
-}
-
-// HistogramOf returns the byte-frequency histogram of data.
-func HistogramOf(data []byte) *Histogram {
-	h := new(Histogram)
-	h.Add(data)
-	return h
-}
-
-// Add folds data's byte counts into the histogram.
-func (h *Histogram) Add(data []byte) {
-	for _, b := range data {
-		h.freq[b]++
-	}
-	h.total += len(data)
-}
-
-// Sub removes data's byte counts from the histogram. Subtracting bytes that
-// were never added leaves negative counts; Valid reports that corruption.
-func (h *Histogram) Sub(data []byte) {
-	for _, b := range data {
-		h.freq[b]--
-	}
-	h.total -= len(data)
-}
-
-// Total returns the number of bytes currently folded in — for a histogram
-// tracking a file's content, the file size it believes.
-func (h *Histogram) Total() int { return h.total }
-
-// Valid reports whether every bucket is non-negative. A false result means
-// Sub removed bytes that were never added: the tracked content diverged
-// from the update stream and the histogram must be rebuilt.
-func (h *Histogram) Valid() bool {
-	if h.total < 0 {
-		return false
-	}
-	for _, f := range h.freq {
-		if f < 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Entropy returns the Shannon entropy of the tracked counts in bits per
-// byte — bit-identical to Shannon over a byte slice with the same counts.
-func (h *Histogram) Entropy() float64 {
-	if h.total <= 0 {
-		return 0
-	}
-	return shannonFromFreq(&h.freq, h.total)
-}
-
-// Clone returns an independent copy of the histogram.
-func (h *Histogram) Clone() *Histogram {
-	c := *h
-	return &c
-}
-
-// Reset clears the histogram back to empty.
-func (h *Histogram) Reset() { *h = Histogram{} }
-
 // Weight returns the paper's operation weight w = 0.125 × ⌊e⌉ × b for an
 // operation of b bytes whose payload entropy is e. The ⌊e⌉ notation in the
 // paper is entropy rounded to the nearest integer.
@@ -306,17 +231,4 @@ func (t *DeltaTracker) State() (read, write MeanState) {
 func (t *DeltaTracker) SetState(read, write MeanState) {
 	t.read.SetState(read)
 	t.write.SetState(write)
-}
-
-// Counts returns the histogram's bucket counts and total for serialization.
-// The returned array is a copy.
-func (h *Histogram) Counts() (freq [256]int, total int) {
-	return h.freq, h.total
-}
-
-// SetCounts overwrites the histogram's buckets and total from a captured
-// snapshot.
-func (h *Histogram) SetCounts(freq [256]int, total int) {
-	h.freq = freq
-	h.total = total
 }

@@ -21,9 +21,6 @@ type TelemetrySummary struct {
 	// MeasureP50/MeasureP99 are measurement-latency quantiles in seconds.
 	MeasureP50 float64 `json:"measureP50,omitempty"`
 	MeasureP99 float64 `json:"measureP99,omitempty"`
-	// PoolSaturated counts submissions that found the measurement pool full
-	// (a direct read on pool backpressure).
-	PoolSaturated int64 `json:"poolSaturated,omitempty"`
 	// Trace is the flight-recorder explanation of the run's detection, when
 	// a recorder was attached.
 	Trace *telemetry.Trace `json:"trace,omitempty"`
@@ -51,8 +48,6 @@ func summarizeTelemetry(snap telemetry.Snapshot, fr *telemetry.FlightRecorder, p
 			}
 		case name == "engine_detections_total":
 			s.Detections = v
-		case name == "engine_measure_pool_saturated_total":
-			s.PoolSaturated = v
 		}
 	}
 	if h, ok := snap.Histograms["engine_measure_seconds"]; ok && h.Count > 0 {

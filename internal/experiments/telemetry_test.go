@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"cryptodrop"
 	"cryptodrop/internal/corpus"
 	"cryptodrop/internal/telemetry"
 )
@@ -17,7 +16,7 @@ import (
 // indicator mix is populated, measurement latency was observed, and the
 // flight-recorder trace reproduces the detection score as a prefix sum.
 func TestRosterTelemetrySummaries(t *testing.T) {
-	r, err := NewRunner(testSpec, cryptodrop.WithMeasureWorkers(2))
+	r, err := NewRunner(testSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,11 +97,11 @@ func TestRosterTelemetrySummaries(t *testing.T) {
 
 // TestSharedRegistryAcrossRoster attaches one shared registry to the runner
 // and checks the live exposition a /metrics scrape would see after a roster:
-// per-indicator fire counters, measurement histograms and pool gauges.
+// per-indicator fire counters and measurement histograms.
 func TestSharedRegistryAcrossRoster(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	spec := corpus.Spec{Seed: 30, Files: 300, Dirs: 40, SizeScale: 0.25}
-	r, err := NewRunner(spec, cryptodrop.WithMeasureWorkers(2))
+	r, err := NewRunner(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,8 +131,6 @@ func TestSharedRegistryAcrossRoster(t *testing.T) {
 		`engine_indicator_fires_total{indicator="file-type-change"}`,
 		"engine_measure_seconds_bucket",
 		"engine_measure_seconds_count",
-		"engine_measure_pool_capacity 2",
-		"engine_measure_pool_inflight",
 		`vfs_ops_total{kind=`,
 		`filter_pre_seconds_bucket{filter="cryptodrop"`,
 	} {

@@ -410,7 +410,9 @@ func TestRestorePartialWALOverlap(t *testing.T) {
 }
 
 // TestRestoreIdentityMismatch: reopening a checkpoint under a drifted engine
-// configuration must refuse the session with the typed mismatch error.
+// configuration must refuse the session with the typed mismatch error, and
+// a checkpoint whose embedded engine snapshot is in a retired format
+// version with the typed version error.
 func TestRestoreIdentityMismatch(t *testing.T) {
 	dir := t.TempDir()
 	h1 := New(Config{CheckpointDir: dir})
@@ -430,6 +432,42 @@ func TestRestoreIdentityMismatch(t *testing.T) {
 	h2 := New(Config{CheckpointDir: dir, Restore: true})
 	if _, err := h2.Open("v", SessionConfig{Engine: drifted, Direct: true}); !errors.Is(err, core.ErrSnapshotMismatch) {
 		t.Fatalf("drifted restore: got %v, want ErrSnapshotMismatch", err)
+	}
+
+	// Reseal the embedded engine snapshot as version 1, the engine layout
+	// that still carried the incremental-entropy tracker section, inside an
+	// otherwise valid checkpoint.
+	ckpt, _ := checkpointPaths(dir, "v")
+	data, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := decodeCheckpoint(data, s1.checkpointIdentity())
+	if err != nil {
+		t.Fatal(err)
+	}
+	eh, payload, err := snapshot.Open(c.engine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eh.Version = 1
+	c.engine = snapshot.Seal(eh, payload)
+	skewed := encodeCheckpoint(s1.checkpointIdentity(), c)
+	if err := os.WriteFile(ckpt, skewed, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	h3 := New(Config{CheckpointDir: dir, Restore: true})
+	_, err = h3.Open("v", SessionConfig{Engine: core.DefaultConfig("/docs"), Direct: true})
+	if !errors.Is(err, snapshot.ErrVersion) || errors.Is(err, snapshot.ErrCorrupt) {
+		t.Fatalf("v1 engine snapshot: got %v, want ErrVersion and not ErrCorrupt", err)
+	}
+	// Nothing was installed: no session registered, the checkpoint left as
+	// it was for an operator to inspect.
+	if ids := h3.Sessions(); len(ids) != 0 {
+		t.Fatalf("refused restore registered sessions %v", ids)
+	}
+	if after, err := os.ReadFile(ckpt); err != nil || !bytes.Equal(after, skewed) {
+		t.Fatalf("refused restore rewrote the checkpoint (err %v)", err)
 	}
 }
 

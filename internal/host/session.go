@@ -16,8 +16,8 @@ import (
 // SessionConfig configures one detector session.
 type SessionConfig struct {
 	// Engine is the detection-engine configuration; the session builds its
-	// own core.Engine from it. Workers, telemetry, flight recorder and the
-	// detection callback all pass through untouched.
+	// own core.Engine from it. Telemetry, flight recorder and the detection
+	// callback all pass through untouched.
 	Engine core.Config
 	// Source resolves file content the producer did not stage in Op.Pre /
 	// Op.Post. Producers that carry every needed snapshot in their Ops
@@ -612,8 +612,8 @@ func (s *Session) noteSaturation() {
 	s.degGauge.Set(1)
 }
 
-// Flush blocks until every op queued before the call has been applied and
-// all pool measurements folded into the scoreboard, or ctx expires.
+// Flush blocks until every op queued before the call has been applied, or
+// ctx expires. Direct sessions apply each op before Submit returns.
 func (s *Session) Flush(ctx context.Context) error {
 	if !s.direct {
 		s.qmu.RLock()
@@ -635,7 +635,6 @@ func (s *Session) Flush(ctx context.Context) error {
 			return fmt.Errorf("host: session %q: flush: %w", s.id, ctx.Err())
 		}
 	}
-	s.eng.Flush()
 	return nil
 }
 
@@ -687,7 +686,6 @@ func (s *Session) drained() <-chan struct{} { return s.done }
 // session is over, their run was clean, so retained pre-images are released
 // whether the session closed deliberately or was idle-evicted.
 func (s *Session) finalReport() SessionReport {
-	s.eng.Flush()
 	s.eng.ExonerateUndetected()
 	if s.ckptPath != "" {
 		s.noteDurErr(s.checkpointNow())

@@ -45,18 +45,16 @@ type Feeder struct {
 
 // FeederSessionConfig returns the host session configuration matching the
 // Feeder's backend semantics. ecfg is used as-is (points, thresholds,
-// registry, callbacks; zero values mean zero), except for the two settings
+// registry, callbacks; zero values mean zero), except for the one setting
 // the backend dictates: NewCipherWithoutDelta is set, because a watcher
 // never sees the read/write payload stream and so the paper's Δe gate could
-// never open; and Workers is pinned to 0, because content is staged per op
-// and measured synchronously. A nil ecfg means core.DefaultConfig.
+// never open. A nil ecfg means core.DefaultConfig.
 func FeederSessionConfig(ecfg *core.Config) host.SessionConfig {
 	cfg := core.DefaultConfig("")
 	if ecfg != nil {
 		cfg = *ecfg
 	}
 	cfg.NewCipherWithoutDelta = true
-	cfg.Workers = 0
 	return host.SessionConfig{Engine: cfg}
 }
 

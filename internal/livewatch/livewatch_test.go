@@ -272,23 +272,17 @@ func TestFeederOwnFileDeletionScoresLow(t *testing.T) {
 
 // TestFeederSessionConfigMatchesEngine is the anti-drift pin: the live
 // session runs the engine's own defaults, derived from core.DefaultConfig
-// rather than a second table that can drift, changed only in the two
-// settings the payload-blind backend dictates — whatever the caller asked.
+// rather than a second table that can drift, changed only in the one
+// setting the payload-blind backend dictates — whatever the caller asked.
 func TestFeederSessionConfigMatchesEngine(t *testing.T) {
 	want := core.DefaultConfig("")
 	want.NewCipherWithoutDelta = true
-	want.Workers = 0
 	if got := FeederSessionConfig(nil); !reflect.DeepEqual(got, host.SessionConfig{Engine: want}) {
 		t.Fatalf("feeder session config diverges from core.DefaultConfig:\n got: %+v\nwant: %+v", got.Engine, want)
 	}
 	in := core.DefaultConfig("")
-	in.Workers = 4
-	got := FeederSessionConfig(&in).Engine
-	if !got.NewCipherWithoutDelta {
+	if got := FeederSessionConfig(&in).Engine; !got.NewCipherWithoutDelta {
 		t.Fatal("payload-blind backend must set NewCipherWithoutDelta")
-	}
-	if got.Workers != 0 {
-		t.Fatal("feeder sessions must pin Workers to 0: content is staged per op")
 	}
 }
 

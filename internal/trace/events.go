@@ -111,7 +111,6 @@ func (r *EventReplayer) Replay(eng *core.Engine, records []Record) (ReplayResult
 			res.Skipped++
 		}
 	}
-	eng.Flush()
 	return res, nil
 }
 
