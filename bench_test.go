@@ -8,6 +8,7 @@ package cryptodrop_test
 
 import (
 	"io"
+	"math"
 	"testing"
 
 	"cryptodrop"
@@ -307,7 +308,7 @@ func BenchmarkAblationUnionOnOff(b *testing.B) {
 			return experiments.BuildTable1(outcomes).OverallMedianFilesLost
 		}
 		with := run()
-		without := run(cryptodrop.WithUnionDisabled())
+		without := run(cryptodrop.WithPolicy(&cryptodrop.MajorityPolicy{Quorum: math.MaxInt}))
 		extra = without - with
 	}
 	b.ReportMetric(extra, "extra-files-lost-without-union")

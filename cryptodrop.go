@@ -230,7 +230,7 @@ func NewHoneyfileIndicator(paths ...string) *HoneyfileIndicator {
 
 // NewUnionPolicy returns the paper's default detection policy: union
 // indication over the three primary indicators with the given score bonus.
-func NewUnionPolicy(bonus float64) Policy { return policy.NewUnion(bonus, false) }
+func NewUnionPolicy(bonus float64) Policy { return policy.NewUnion(bonus) }
 
 // Re-exported multi-session hosting types: a Host owns N detector Sessions,
 // each an independent engine behind a bounded ingest queue with explicit
@@ -338,17 +338,6 @@ func WithPoints(p Points) Option {
 // as a starting point for WithPoints adjustments.
 func DefaultPoints() Points { return core.DefaultPoints() }
 
-// WithUnionDisabled turns union indication off (ablation studies).
-func WithUnionDisabled() Option {
-	return func(o *options) { o.cfg.DisableUnion = true }
-}
-
-// WithUnweightedEntropy replaces the paper's entropy-operation weighting
-// with plain byte weighting (ablation studies).
-func WithUnweightedEntropy() Option {
-	return func(o *options) { o.cfg.UnweightedEntropy = true }
-}
-
 // WithIndicators sets the engine's indicator registry, replacing the
 // default five-indicator paper set. Compose registries from
 // DefaultIndicators with With/Without; the engine measures only the
@@ -359,9 +348,10 @@ func WithIndicators(reg *IndicatorRegistry) Option {
 }
 
 // WithPolicy sets the detection policy, replacing the paper's default
-// union-plus-threshold policy. When set, the union-related knobs
-// (WithUnionDisabled, Points.UnionBonus) no longer apply — the policy owns
-// acceleration and thresholding.
+// union-plus-threshold policy. When set, Points.UnionBonus no longer
+// applies — the policy owns acceleration and thresholding. To ablate union
+// indication, pass a policy that never accelerates:
+// &MajorityPolicy{Quorum: math.MaxInt}.
 func WithPolicy(p Policy) Option {
 	return func(o *options) { o.cfg.Policy = p }
 }

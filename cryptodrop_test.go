@@ -3,6 +3,7 @@ package cryptodrop_test
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -187,10 +188,11 @@ func TestWithoutEnforcementRecordsOnly(t *testing.T) {
 }
 
 func TestThresholdOption(t *testing.T) {
-	// An absurdly high threshold with union disabled means no detection.
+	// An absurdly high threshold with union ablated (a quorum no registry
+	// reaches) means no detection.
 	fs, m, procs, mon := newVictim(t,
 		cryptodrop.WithNonUnionThreshold(1e9),
-		cryptodrop.WithUnionDisabled(),
+		cryptodrop.WithPolicy(&cryptodrop.MajorityPolicy{Quorum: math.MaxInt}),
 	)
 	s := testSample(5)
 	pid := procs.Spawn(s.ID)

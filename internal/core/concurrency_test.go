@@ -87,7 +87,10 @@ func TestConcurrentPostOpDistinctProcesses(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 5; i++ {
-				encryptInPlace(t, fs, pid, p)
+				if err := tryEncryptInPlace(fs, pid, p); err != nil {
+					t.Errorf("pid %d: %v", pid, err)
+					return
+				}
 			}
 		}()
 	}

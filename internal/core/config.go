@@ -118,28 +118,20 @@ type Config struct {
 	// means indicator.Default() — the paper's five units. The engine only
 	// performs the measurement work the registered units declare a need
 	// for (indicator.Feature), so a registry without content-dependent
-	// units never reads file content.
+	// units never reads file content. Ablations are compositions:
+	// Default().Without(ids...) drops indicators, and
+	// Default().With(indicator.ByteWeightedEntropyDelta()) measures the
+	// entropy means with plain byte weighting.
 	Indicators *indicator.Registry
 	// Policy decides how awards fuse into detections. Nil means the
-	// paper's union+threshold policy, parameterised by Points.UnionBonus
-	// and DisableUnion; when a Policy is set, those two fields are ignored
-	// (the policy owns acceleration entirely).
+	// paper's union+threshold policy with Points.UnionBonus; when a Policy
+	// is set, UnionBonus is ignored (the policy owns acceleration
+	// entirely). Ablating union indication is a policy that never
+	// accelerates: &policy.Majority{Quorum: math.MaxInt}. The policy's
+	// type and field values are part of the snapshot config hash, so a
+	// policy whose engine is checkpointed must be plain data — no
+	// pointers, maps or funcs, whose printed form is not stable.
 	Policy policy.Policy
-	// DisableUnion turns union indication off (ablation studies). Only
-	// consulted when Policy is nil.
-	DisableUnion bool
-	// UnweightedEntropy replaces the paper's w = 0.125×⌊e⌉×b operation
-	// weighting with plain byte weighting (ablation studies: shows how
-	// small low-entropy ransom-note writes skew an unweighted mean).
-	UnweightedEntropy bool
-	// DisabledIndicators suppresses scoring (and union participation) of
-	// the listed indicators.
-	//
-	// Deprecated: compose the registry instead — Config.Indicators =
-	// indicator.Default().Without(ids...). This field remains as a
-	// compatibility shim and is applied as exactly that Without() call on
-	// the effective registry.
-	DisabledIndicators []Indicator
 	// NewCipherWithoutDelta awards NewCipherFile for a new untyped
 	// high-entropy file even when the process's read/write entropy delta is
 	// not (yet) suspicious. Payload-blind backends — watchers that only see

@@ -38,8 +38,8 @@ type Engine struct {
 	cfg Config
 	src ContentSource
 
-	// reg is the effective indicator registry (Config.Indicators minus the
-	// deprecated DisabledIndicators shim); pol is the detection policy.
+	// reg is the effective indicator registry (Config.Indicators, or the
+	// default five); pol is the detection policy.
 	reg *indicator.Registry
 	pol policy.Policy
 	// hooks are the registry's units flattened per evaluation hook, in
@@ -48,6 +48,9 @@ type Engine struct {
 	// feats is the union of the registered units' declared feature needs —
 	// the measurement work this engine actually performs.
 	feats indicator.Feature
+	// byteWeighted measures every process's read/write entropy means with
+	// plain byte weighting: some unit declared FeatByteWeighting.
+	byteWeighted bool
 
 	// procs is the sharded per-process scoreboard.
 	procs procTable
@@ -103,20 +106,18 @@ func New(cfg Config, src ContentSource) *Engine {
 	if reg == nil {
 		reg = indicator.Default()
 	}
-	if len(cfg.DisabledIndicators) > 0 {
-		// Deprecated shim: ablation by list is registry subtraction.
-		reg = reg.Without(cfg.DisabledIndicators...)
-	}
 	pol := cfg.Policy
 	if pol == nil {
-		pol = policy.NewUnion(cfg.Points.UnionBonus, cfg.DisableUnion)
+		pol = policy.NewUnion(cfg.Points.UnionBonus)
 	}
+	feats := reg.Features()
 	e := &Engine{
-		cfg:   cfg,
-		src:   src,
-		reg:   reg,
-		pol:   pol,
-		feats: reg.Features(),
+		cfg:          cfg,
+		src:          src,
+		reg:          reg,
+		pol:          pol,
+		feats:        feats,
+		byteWeighted: feats.Has(indicator.FeatByteWeighting),
 	}
 	e.buildHooks()
 	e.procs.init()
@@ -141,7 +142,7 @@ func New(cfg Config, src ContentSource) *Engine {
 func (e *Engine) Config() Config { return e.cfg }
 
 // Indicators returns the effective indicator registry the engine scores
-// with (Config.Indicators after the deprecated DisabledIndicators shim).
+// with (Config.Indicators, or the default five).
 func (e *Engine) Indicators() *indicator.Registry { return e.reg }
 
 // Features returns the union of the registered units' declared feature
@@ -190,8 +191,7 @@ func (e *Engine) lockProc(pid int) (ps *procState, sh *procShard) {
 	}
 	ps, ok := sh.m[pid]
 	if !ok {
-		ps = newProcState(pid)
-		ps.delta.SetUnweighted(e.cfg.UnweightedEntropy)
+		ps = newProcState(pid, e.byteWeighted)
 		sh.m[pid] = ps
 	}
 	return ps, sh

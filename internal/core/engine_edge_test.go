@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cryptodrop/internal/corpus"
+	"cryptodrop/internal/indicator"
 	"cryptodrop/internal/vfs"
 )
 
@@ -138,10 +139,11 @@ func TestNewTypedFileNotPenalised(t *testing.T) {
 
 func TestUnweightedEntropyAblation(t *testing.T) {
 	// With the paper's weighting, a flood of small low-entropy ransom
-	// notes cannot pull the write mean down; unweighted, it can.
-	run := func(unweighted bool) float64 {
+	// notes cannot pull the write mean down; unweighted — the registry's
+	// entropy-delta unit swapped for its byte-weighted variant — it can.
+	run := func(reg *indicator.Registry) float64 {
 		cfg := DefaultConfig(testRoot)
-		cfg.UnweightedEntropy = unweighted
+		cfg.Indicators = reg
 		fs, eng := setup(t, cfg)
 		pid := 740
 		// One plaintext read, one big ciphertext write.
@@ -161,8 +163,8 @@ func TestUnweightedEntropyAblation(t *testing.T) {
 		rep, _ := eng.Report(pid)
 		return rep.WriteEntropyMean
 	}
-	weighted := run(false)
-	unweighted := run(true)
+	weighted := run(indicator.Default())
+	unweighted := run(indicator.Default().With(indicator.ByteWeightedEntropyDelta()))
 	if weighted < 7.5 {
 		t.Fatalf("weighted mean %.2f dragged down by notes", weighted)
 	}

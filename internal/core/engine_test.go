@@ -2,10 +2,13 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
 	"cryptodrop/internal/corpus"
+	"cryptodrop/internal/indicator"
+	"cryptodrop/internal/policy"
 	"cryptodrop/internal/vfs"
 )
 
@@ -90,13 +93,21 @@ func keystream(seed int64, n int) []byte {
 // encryptInPlace performs a Class A transformation of path as pid.
 func encryptInPlace(t testing.TB, fs *vfs.FS, pid int, p string) {
 	t.Helper()
+	if err := tryEncryptInPlace(fs, pid, p); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// tryEncryptInPlace is encryptInPlace returning its error, for goroutines
+// other than the test's own, which must not call t.Fatal.
+func tryEncryptInPlace(fs *vfs.FS, pid int, p string) error {
 	h, err := fs.Open(pid, p, vfs.ReadWrite)
 	if err != nil {
-		t.Fatal(err)
+		return err
 	}
 	content, err := h.ReadAll()
 	if err != nil {
-		t.Fatal(err)
+		return err
 	}
 	key := keystream(int64(len(content)), len(content))
 	enc := make([]byte, len(content))
@@ -105,11 +116,9 @@ func encryptInPlace(t testing.TB, fs *vfs.FS, pid int, p string) {
 	}
 	h.SeekTo(0)
 	if _, err := h.Write(enc); err != nil {
-		t.Fatal(err)
+		return err
 	}
-	if err := h.Close(); err != nil {
-		t.Fatal(err)
-	}
+	return h.Close()
 }
 
 func TestClassAEncryptionDetected(t *testing.T) {
@@ -396,11 +405,12 @@ func TestFunnelingAwardedOnce(t *testing.T) {
 }
 
 func TestUnionLowersThreshold(t *testing.T) {
-	// With union disabled the same workload must take longer (more files)
-	// to detect than with union enabled.
-	countFilesToDetect := func(disableUnion bool) int {
+	// With union ablated — a policy whose quorum is never reached — the
+	// same workload must take longer (more files) to detect than under the
+	// default union policy.
+	countFilesToDetect := func(pol policy.Policy) int {
 		cfg := DefaultConfig(testRoot)
-		cfg.DisableUnion = disableUnion
+		cfg.Policy = pol
 		detected := false
 		cfg.OnDetection = func(d Detection) { detected = true }
 		fs, _ := setup(t, cfg)
@@ -415,12 +425,12 @@ func TestUnionLowersThreshold(t *testing.T) {
 			n++
 		}
 		if !detected {
-			t.Fatalf("no detection (disableUnion=%v) after %d files", disableUnion, n)
+			t.Fatalf("no detection (policy %T) after %d files", pol, n)
 		}
 		return n
 	}
-	withUnion := countFilesToDetect(false)
-	withoutUnion := countFilesToDetect(true)
+	withUnion := countFilesToDetect(nil)
+	withoutUnion := countFilesToDetect(&policy.Majority{Quorum: math.MaxInt})
 	if withUnion > withoutUnion {
 		t.Fatalf("union detection (%d files) slower than non-union (%d files)", withUnion, withoutUnion)
 	}
@@ -432,7 +442,7 @@ func TestUnionLowersThreshold(t *testing.T) {
 
 func TestDisabledIndicatorNeverFires(t *testing.T) {
 	cfg := DefaultConfig(testRoot)
-	cfg.DisabledIndicators = []Indicator{IndicatorTypeChange}
+	cfg.Indicators = indicator.Default().Without(IndicatorTypeChange)
 	fs, eng := setup(t, cfg)
 	pid := 1500
 	infos, _ := fs.List(testRoot)

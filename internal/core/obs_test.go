@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"cryptodrop/internal/audit"
+	"cryptodrop/internal/indicator"
 	"cryptodrop/internal/telemetry"
 )
 
@@ -269,10 +270,15 @@ func TestRegistryFingerprintIdentity(t *testing.T) {
 		t.Fatalf("same registry, different fingerprints: %q vs %q",
 			b1.Registry.Fingerprint, b2.Registry.Fingerprint)
 	}
-	cfg2 := DefaultConfig(testRoot)
-	cfg2.DisabledIndicators = []Indicator{IndicatorFunneling}
-	_, e3 := setup(t, cfg2)
-	if b3 := e3.buildAuditBundle(firedDetection{}); b3.Registry.Fingerprint == b1.Registry.Fingerprint {
-		t.Fatal("different unit sets share a fingerprint")
+	for _, reg := range []*indicator.Registry{
+		indicator.Default().Without(IndicatorFunneling),
+		indicator.Default().With(indicator.ByteWeightedEntropyDelta()),
+	} {
+		cfg2 := DefaultConfig(testRoot)
+		cfg2.Indicators = reg
+		_, e3 := setup(t, cfg2)
+		if b3 := e3.buildAuditBundle(firedDetection{}); b3.Registry.Fingerprint == b1.Registry.Fingerprint {
+			t.Fatalf("different unit sets share a fingerprint: %v", reg.IDs())
+		}
 	}
 }

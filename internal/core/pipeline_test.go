@@ -234,22 +234,3 @@ func TestMajorityPolicyAccelerates(t *testing.T) {
 		t.Fatalf("accelerated detection threshold = %v, want %v", th, cfg.UnionThreshold)
 	}
 }
-
-// TestDeprecatedDisabledIndicatorsShim pins that the deprecated
-// Config.DisabledIndicators list behaves exactly like registry subtraction.
-func TestDeprecatedDisabledIndicatorsShim(t *testing.T) {
-	viaShim := DefaultConfig(testRoot)
-	viaShim.DisabledIndicators = []Indicator{IndicatorTypeChange, IndicatorDeletion}
-	engShim, _ := attackRun(t, viaShim)
-
-	viaRegistry := DefaultConfig(testRoot)
-	viaRegistry.Indicators = indicator.Default().Without(indicator.TypeChange, indicator.Deletion)
-	engReg, _ := attackRun(t, viaRegistry)
-
-	if !reflect.DeepEqual(engShim.Reports(), engReg.Reports()) {
-		t.Fatal("DisabledIndicators shim diverged from registry subtraction")
-	}
-	if got, want := engShim.Indicators().IDs(), engReg.Indicators().IDs(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("effective registries differ: %v vs %v", got, want)
-	}
-}

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"hash/fnv"
+	"math"
 	"sort"
 
 	"cryptodrop/internal/entropy"
@@ -38,8 +40,9 @@ import (
 // engineSnapshotVersion is the engine snapshot format version. Bump it when
 // the payload layout changes; restore refuses other versions with a typed
 // error wrapping snapshot.ErrVersion. Version 2 dropped version 1's
-// per-file incremental-entropy tracker section.
-const engineSnapshotVersion = 2
+// per-file incremental-entropy tracker section; version 3 dropped the
+// per-mean weighting flag, which the indicator registry now decides.
+const engineSnapshotVersion = 3
 
 // The durable-session sentinels, re-exported from internal/snapshot under
 // the names the facade exposes.
@@ -54,9 +57,10 @@ var (
 	ErrSnapshotCorrupt = snapshot.ErrCorrupt
 )
 
-// configHash returns a stable fingerprint ("cfg1-…") of the scoring-relevant
+// configHash returns a stable fingerprint ("cfg2-…") of the scoring-relevant
 // engine configuration: the fields that change what verdict an event stream
-// produces. Performance and observability knobs (MeasureCache, Telemetry,
+// produces, including the detection policy's type and field values.
+// Performance and observability knobs (MeasureCache, Telemetry,
 // tracers, sinks) are deliberately excluded — they are verdict-preserving
 // by construction (pinned by the bit-identity conformance suites), so a
 // checkpoint taken with memoization on restores fine into an engine with it
@@ -65,46 +69,21 @@ var (
 // mapping only affects operations after the restore point.
 func (e *Engine) configHash() string {
 	c := &e.cfg
-	canon := fmt.Sprintf(
-		"root=%s nonunion=%x union=%x edelta=%x simmax=%d funnel=%d points=%+v disableunion=%t unweighted=%t nocipherdelta=%t tier=%d sample=%d policy=%T",
+	h := fnv.New64a()
+	fmt.Fprintf(h,
+		"root=%s nonunion=%x union=%x edelta=%x simmax=%d funnel=%d points=%+v nocipherdelta=%t tier=%d sample=%d policy=%T%+v",
 		c.ProtectedRoot,
-		f64bits(c.NonUnionThreshold), f64bits(c.UnionThreshold), f64bits(c.EntropyDeltaThreshold),
-		c.SimilarityMatchMax, c.FunnelingThreshold, c.Points,
-		c.DisableUnion, c.UnweightedEntropy, c.NewCipherWithoutDelta,
-		c.Tier, e.sampleN, e.pol,
+		math.Float64bits(c.NonUnionThreshold), math.Float64bits(c.UnionThreshold), math.Float64bits(c.EntropyDeltaThreshold),
+		c.SimilarityMatchMax, c.FunnelingThreshold, c.Points, c.NewCipherWithoutDelta,
+		c.Tier, e.sampleN, e.pol, e.pol,
 	)
-	return fmt.Sprintf("cfg1-%016x", fnvString(canon))
-}
-
-// f64bits is shorthand for the exact bit pattern of a threshold.
-func f64bits(v float64) uint64 {
-	e := snapshot.NewEncoder()
-	e.F64(v)
-	d := e.Data()
-	var out uint64
-	for i := 7; i >= 0; i-- {
-		out = out<<8 | uint64(d[i])
-	}
-	return out
-}
-
-// fnvString is FNV-1a over s.
-func fnvString(s string) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint64(s[i])) * prime64
-	}
-	return h
+	return fmt.Sprintf("cfg2-%016x", h.Sum64())
 }
 
 // SnapshotIdentity returns the identity fingerprints every snapshot of this
 // engine embeds: the indicator-registry fingerprint ("reg1-…", the same
 // canonical identity the audit bundles carry) and the scoring-config hash
-// ("cfg1-…"). Hosts embed the pair in their own checkpoint envelopes so a
+// ("cfg2-…"). Hosts embed the pair in their own checkpoint envelopes so a
 // session file is refused at open time, before engine state is decoded.
 func (e *Engine) SnapshotIdentity() (registry, config string) {
 	return e.reg.Fingerprint(), e.configHash()
@@ -279,7 +258,6 @@ func encodeMean(enc *snapshot.Encoder, s entropy.MeanState) {
 	enc.F64(s.SumWeights)
 	enc.Varint(int64(s.Ops))
 	enc.Varint(s.Bytes)
-	enc.Bool(s.Unweighted)
 }
 
 func decodeMean(d *snapshot.Decoder) entropy.MeanState {
@@ -288,7 +266,6 @@ func decodeMean(d *snapshot.Decoder) entropy.MeanState {
 		SumWeights:  d.F64(),
 		Ops:         int(d.Varint()),
 		Bytes:       d.Varint(),
-		Unweighted:  d.Bool(),
 	}
 }
 
@@ -341,7 +318,7 @@ func (e *Engine) decodeProcs(d *snapshot.Decoder) []*procState {
 	n := d.Count()
 	var out []*procState
 	for i := 0; i < n; i++ {
-		ps := newProcState(int(d.Varint()))
+		ps := newProcState(int(d.Varint()), e.byteWeighted)
 		ps.score = d.F64()
 		read := decodeMean(d)
 		write := decodeMean(d)

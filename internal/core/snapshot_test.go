@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"cryptodrop/internal/indicator"
+	"cryptodrop/internal/policy"
 	"cryptodrop/internal/snapshot"
 	"cryptodrop/internal/telemetry"
 	"cryptodrop/internal/vfs"
@@ -93,7 +94,9 @@ func TestEngineSnapshotRoundTripMidStream(t *testing.T) {
 
 // TestEngineSnapshotRoundTripOptimisedModes repeats the mid-stream
 // round trip under the opt-in sampled measurement tier, whose escalation
-// latches are extra per-process snapshot state.
+// latches are extra per-process snapshot state, and under the byte-weighted
+// entropy ablation, whose weighting the snapshot does not carry: the
+// restoring engine takes it from its own registry.
 func TestEngineSnapshotRoundTripOptimisedModes(t *testing.T) {
 	const pid = 501
 	for _, mode := range []struct {
@@ -101,6 +104,9 @@ func TestEngineSnapshotRoundTripOptimisedModes(t *testing.T) {
 		mut  func(*Config)
 	}{
 		{"sampled-tier", func(c *Config) { c.Tier = TierSampled }},
+		{"byte-weighted-entropy", func(c *Config) {
+			c.Indicators = indicator.Default().With(indicator.ByteWeightedEntropyDelta())
+		}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			refCfg := DefaultConfig(testRoot)
@@ -167,6 +173,23 @@ func TestEngineRestoreMismatch(t *testing.T) {
 		t.Fatalf("refused restore installed %d scoreboard entries", len(got))
 	}
 
+	// Same policy type, different parameters → config-hash mismatch: the
+	// hash covers the policy's field values, not only its type.
+	cfgQ2 := DefaultConfig(testRoot)
+	cfgQ2.Policy = &policy.Majority{Quorum: 2}
+	q2Eng := New(cfgQ2, testSource{fs})
+	q2Blob, err := q2Eng.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgQ5 := DefaultConfig(testRoot)
+	cfgQ5.Policy = &policy.Majority{Quorum: 5, Threshold: 10}
+	q5Eng := New(cfgQ5, testSource{fs})
+	err = q5Eng.Restore(q2Blob)
+	if !errors.As(err, &me) || me.Field != "config" {
+		t.Fatalf("policy parameter drift: got %v, want config-field mismatch", err)
+	}
+
 	// Different indicator registry → registry-fingerprint mismatch.
 	cfgReg := DefaultConfig(testRoot)
 	cfgReg.Indicators = indicator.Default().Without(indicator.Funneling)
@@ -176,16 +199,17 @@ func TestEngineRestoreMismatch(t *testing.T) {
 		t.Fatalf("registry drift: got %v, want registry-field mismatch", err)
 	}
 
-	// Version skew → ErrVersion, before any state is installed. Version 1
-	// is the retired layout that still carried the incremental-entropy
-	// tracker section; it is refused as a format version, not as damage.
+	// Version skew → ErrVersion, before any state is installed. Versions 1
+	// and 2 are retired layouts (1 still carried the incremental-entropy
+	// tracker section, 2 a weighting flag per entropy mean); they are
+	// refused as format versions, not as damage.
 	regFP, cfgHash := eng.SnapshotIdentity()
 	same := New(cfg, testSource{fs})
 	_, payload, err := snapshot.Open(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range []uint64{1, 99} {
+	for _, v := range []uint64{1, 2, 99} {
 		skewed := snapshot.Seal(snapshot.Header{Version: v, Registry: regFP, Config: cfgHash}, payload)
 		err := same.Restore(skewed)
 		if !errors.Is(err, snapshot.ErrVersion) || errors.Is(err, ErrSnapshotCorrupt) {

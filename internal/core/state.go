@@ -94,8 +94,10 @@ type ScorePoint struct {
 // maxHistory bounds the per-process trajectory length.
 const maxHistory = 20000
 
-func newProcState(pid int) *procState {
-	return &procState{
+// newProcState returns an empty scoreboard entry; byteWeighted selects the
+// entropy means' weighting (Engine.byteWeighted).
+func newProcState(pid int, byteWeighted bool) *procState {
+	ps := &procState{
 		pid:             pid,
 		indicatorSeen:   make(map[Indicator]bool),
 		indicatorPoints: make(map[Indicator]float64),
@@ -104,6 +106,8 @@ func newProcState(pid int) *procState {
 		extSeen:         make(map[string]bool),
 		dirsTouched:     make(map[string]bool),
 	}
+	ps.delta.SetUnweighted(byteWeighted)
+	return ps
 }
 
 // touchExt records a file extension access in first-touch order.

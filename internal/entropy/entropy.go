@@ -99,7 +99,8 @@ type WeightedMean struct {
 
 // SetUnweighted switches the mean to plain byte-weighted averaging (w = b),
 // dropping the paper's entropy-rounding factor. This exists for the ablation
-// study showing why the weighting matters against ransom-note writes.
+// study showing why the weighting matters against ransom-note writes. The
+// setting is configuration, not state: State and SetState leave it alone.
 func (m *WeightedMean) SetUnweighted(u bool) { m.unweighted = u }
 
 // Add folds one operation's payload into the mean and returns the entropy of
@@ -199,7 +200,6 @@ type MeanState struct {
 	SumWeights  float64
 	Ops         int
 	Bytes       int64
-	Unweighted  bool
 }
 
 // State captures the mean's internal state for serialization.
@@ -209,7 +209,6 @@ func (m *WeightedMean) State() MeanState {
 		SumWeights:  m.sumWeights,
 		Ops:         m.ops,
 		Bytes:       m.bytes,
-		Unweighted:  m.unweighted,
 	}
 }
 
@@ -219,7 +218,6 @@ func (m *WeightedMean) SetState(s MeanState) {
 	m.sumWeights = s.SumWeights
 	m.ops = s.Ops
 	m.bytes = s.Bytes
-	m.unweighted = s.Unweighted
 }
 
 // State captures both means for serialization: read first, then write.

@@ -3,10 +3,12 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"math"
 	"text/tabwriter"
 
 	"cryptodrop"
 	"cryptodrop/internal/corpus"
+	"cryptodrop/internal/indicator"
 	"cryptodrop/internal/ransomware"
 )
 
@@ -34,9 +36,12 @@ type AblationResult struct {
 
 // ablationVariants returns the design-choice ablations from DESIGN.md:
 // union indication, each primary indicator, and the entropy weighting.
-// Indicator ablations are registry subtraction — the engine variant simply
-// runs with a smaller registry, and the measurement layer stops extracting
-// whatever features the removed units were the only consumers of.
+// Every variant is a composition of the pipeline's layers, not an engine
+// switch: indicator ablations are registry subtraction (the measurement
+// layer stops extracting whatever features the removed units were the only
+// consumers of), the weighting ablation swaps in the byte-weighted
+// entropy-delta unit, and the union ablation is a policy whose quorum can
+// never be reached, so detection stays at the non-union threshold.
 func ablationVariants() []struct {
 	name string
 	opts []cryptodrop.Option
@@ -44,17 +49,19 @@ func ablationVariants() []struct {
 	without := func(inds ...cryptodrop.Indicator) cryptodrop.Option {
 		return cryptodrop.WithIndicators(cryptodrop.DefaultIndicators().Without(inds...))
 	}
+	noUnion := cryptodrop.WithPolicy(&cryptodrop.MajorityPolicy{Quorum: math.MaxInt})
+	byteWeighted := cryptodrop.WithIndicators(cryptodrop.DefaultIndicators().With(indicator.ByteWeightedEntropyDelta()))
 	return []struct {
 		name string
 		opts []cryptodrop.Option
 	}{
 		{"full engine", nil},
-		{"no union indication", []cryptodrop.Option{cryptodrop.WithUnionDisabled()}},
+		{"no union indication", []cryptodrop.Option{noUnion}},
 		{"no type-change indicator", []cryptodrop.Option{without(cryptodrop.IndicatorTypeChange)}},
 		{"no similarity indicator", []cryptodrop.Option{without(cryptodrop.IndicatorSimilarity)}},
 		{"no entropy-delta indicator", []cryptodrop.Option{without(cryptodrop.IndicatorEntropyDelta)}},
 		{"no secondary indicators", []cryptodrop.Option{without(cryptodrop.IndicatorDeletion, cryptodrop.IndicatorFunneling)}},
-		{"unweighted entropy mean", []cryptodrop.Option{cryptodrop.WithUnweightedEntropy()}},
+		{"unweighted entropy mean", []cryptodrop.Option{byteWeighted}},
 	}
 }
 

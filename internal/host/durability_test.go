@@ -434,9 +434,10 @@ func TestRestoreIdentityMismatch(t *testing.T) {
 		t.Fatalf("drifted restore: got %v, want ErrSnapshotMismatch", err)
 	}
 
-	// Reseal the embedded engine snapshot as version 1, the engine layout
-	// that still carried the incremental-entropy tracker section, inside an
-	// otherwise valid checkpoint.
+	// Reseal the embedded engine snapshot as each retired engine layout —
+	// version 1 still carried the incremental-entropy tracker section,
+	// version 2 a weighting flag per entropy mean — inside an otherwise
+	// valid checkpoint.
 	ckpt, _ := checkpointPaths(dir, "v")
 	data, err := os.ReadFile(ckpt)
 	if err != nil {
@@ -450,24 +451,26 @@ func TestRestoreIdentityMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eh.Version = 1
-	c.engine = snapshot.Seal(eh, payload)
-	skewed := encodeCheckpoint(s1.checkpointIdentity(), c)
-	if err := os.WriteFile(ckpt, skewed, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	h3 := New(Config{CheckpointDir: dir, Restore: true})
-	_, err = h3.Open("v", SessionConfig{Engine: core.DefaultConfig("/docs"), Direct: true})
-	if !errors.Is(err, snapshot.ErrVersion) || errors.Is(err, snapshot.ErrCorrupt) {
-		t.Fatalf("v1 engine snapshot: got %v, want ErrVersion and not ErrCorrupt", err)
-	}
-	// Nothing was installed: no session registered, the checkpoint left as
-	// it was for an operator to inspect.
-	if ids := h3.Sessions(); len(ids) != 0 {
-		t.Fatalf("refused restore registered sessions %v", ids)
-	}
-	if after, err := os.ReadFile(ckpt); err != nil || !bytes.Equal(after, skewed) {
-		t.Fatalf("refused restore rewrote the checkpoint (err %v)", err)
+	for _, v := range []uint64{1, 2} {
+		eh.Version = v
+		c.engine = snapshot.Seal(eh, payload)
+		skewed := encodeCheckpoint(s1.checkpointIdentity(), c)
+		if err := os.WriteFile(ckpt, skewed, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		h3 := New(Config{CheckpointDir: dir, Restore: true})
+		_, err = h3.Open("v", SessionConfig{Engine: core.DefaultConfig("/docs"), Direct: true})
+		if !errors.Is(err, snapshot.ErrVersion) || errors.Is(err, snapshot.ErrCorrupt) {
+			t.Fatalf("v%d engine snapshot: got %v, want ErrVersion and not ErrCorrupt", v, err)
+		}
+		// Nothing was installed: no session registered, the checkpoint left
+		// as it was for an operator to inspect.
+		if ids := h3.Sessions(); len(ids) != 0 {
+			t.Fatalf("v%d: refused restore registered sessions %v", v, ids)
+		}
+		if after, err := os.ReadFile(ckpt); err != nil || !bytes.Equal(after, skewed) {
+			t.Fatalf("v%d: refused restore rewrote the checkpoint (err %v)", v, err)
+		}
 	}
 }
 

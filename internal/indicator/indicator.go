@@ -97,6 +97,11 @@ const (
 	// FeatCreator is file-creator bookkeeping: who created each file,
 	// distinguishing own-temp-file deletion from destruction of user data.
 	FeatCreator
+	// FeatByteWeighting measures the FeatPayload read/write means with
+	// plain byte weighting (w = b) instead of the paper's entropy-operation
+	// weighting (w = 0.125×⌊e⌉×b). Only the ByteWeightedEntropyDelta
+	// ablation unit declares it; the engine reads it once, when built.
+	FeatByteWeighting
 )
 
 // Has reports whether f contains all bits of want.

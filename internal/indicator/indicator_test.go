@@ -141,6 +141,25 @@ func TestFeaturesUnion(t *testing.T) {
 	}
 }
 
+// TestByteWeightedEntropyDeltaReplacesPaperUnit pins the weighting
+// ablation's composition: the variant takes the entropy-delta slot under the
+// same ID and name, adds only FeatByteWeighting, and is told apart from the
+// paper's registry by the fingerprint.
+func TestByteWeightedEntropyDeltaReplacesPaperUnit(t *testing.T) {
+	u := ByteWeightedEntropyDelta()
+	d, want := u.Decl(), entropyDeltaUnit{}.Decl()
+	if d.ID != want.ID || d.Name != want.Name || d.Features != want.Features|FeatByteWeighting {
+		t.Fatalf("decl = %+v, want %+v plus FeatByteWeighting", d, want)
+	}
+	reg := Default().With(u)
+	if reg.Len() != 5 || !reg.Features().Has(FeatByteWeighting) || Default().Features().Has(FeatByteWeighting) {
+		t.Fatalf("composed registry: len %d, features %b", reg.Len(), reg.Features())
+	}
+	if reg.Fingerprint() == Default().Fingerprint() {
+		t.Fatal("byte-weighted variant shares the paper registry's fingerprint")
+	}
+}
+
 // TestPrimariesIndependentOfRegistry pins that the union requirement is the
 // paper's three primary signals, regardless of registry composition:
 // ablating a primary must leave union unattainable, not shrink it.

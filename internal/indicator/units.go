@@ -97,6 +97,25 @@ func (entropyDeltaUnit) Eval(h Hook, ctx Context) (float64, bool) {
 	return 0, false
 }
 
+// byteWeightedEntropyDeltaUnit is the entropy-delta unit measured over
+// byte-weighted payload means: the ablation of the paper's §III-C
+// weighting. It keeps the entropy-delta ID, name and evaluation, so
+// composing it in replaces the paper's unit; the extra feature bit changes
+// the registry fingerprint, which is what tells the two variants apart.
+type byteWeightedEntropyDeltaUnit struct{ entropyDeltaUnit }
+
+// ByteWeightedEntropyDelta returns the entropy-delta unit with plain byte
+// weighting of the read/write means. Compose it with
+// Default().With(ByteWeightedEntropyDelta()) to show how small low-entropy
+// ransom-note writes drag an unweighted write mean down.
+func ByteWeightedEntropyDelta() Unit { return byteWeightedEntropyDeltaUnit{} }
+
+func (u byteWeightedEntropyDeltaUnit) Decl() Decl {
+	d := u.entropyDeltaUnit.Decl()
+	d.Features |= FeatByteWeighting
+	return d
+}
+
 type deletionUnit struct{}
 
 func (deletionUnit) Decl() Decl {

@@ -61,25 +61,24 @@ type Policy interface {
 type Union struct {
 	required []indicator.ID
 	bonus    float64
-	disabled bool
 }
 
 // NewUnion returns the paper's union+threshold policy. bonus is the
-// one-time score bonus added when union fires; disabled turns union
-// indication off entirely (ablation studies), leaving the plain non-union
-// threshold.
+// one-time score bonus added when union fires. To ablate union indication,
+// use a policy that never accelerates instead — Majority with an
+// unreachable Quorum — which leaves the plain non-union threshold.
 //
 // The required set is the paper's three primary indicators — a constant,
 // not whatever primaries happen to be registered. Ablating a primary out of
 // the registry therefore leaves union unattainable rather than quietly
 // shrinking the requirement to the survivors.
-func NewUnion(bonus float64, disabled bool) *Union {
-	return &Union{required: indicator.Primaries(), bonus: bonus, disabled: disabled}
+func NewUnion(bonus float64) *Union {
+	return &Union{required: indicator.Primaries(), bonus: bonus}
 }
 
 // AfterAward fires union indication once all required indicators are seen.
 func (u *Union) AfterAward(ctx Context) {
-	if u.disabled || ctx.Accelerated() {
+	if ctx.Accelerated() {
 		return
 	}
 	for _, id := range u.required {

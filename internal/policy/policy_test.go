@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"math"
 	"testing"
 
 	"cryptodrop/internal/indicator"
@@ -42,7 +43,7 @@ func defaultCtx() *fakeContext {
 // TestUnionRequiresAllPrimaries pins the paper's union rule: the bonus
 // fires exactly when all three primary indicators have been seen, once.
 func TestUnionRequiresAllPrimaries(t *testing.T) {
-	p := NewUnion(30, false)
+	p := NewUnion(30)
 	ctx := defaultCtx()
 	for _, id := range indicator.Primaries()[:2] {
 		ctx.seen[id] = true
@@ -66,7 +67,7 @@ func TestUnionRequiresAllPrimaries(t *testing.T) {
 // TestUnionSecondariesDoNotCount pins that secondary indicators (however
 // many) never satisfy the union requirement.
 func TestUnionSecondariesDoNotCount(t *testing.T) {
-	p := NewUnion(30, false)
+	p := NewUnion(30)
 	ctx := defaultCtx()
 	ctx.seen[indicator.Deletion] = true
 	ctx.seen[indicator.Funneling] = true
@@ -80,7 +81,7 @@ func TestUnionSecondariesDoNotCount(t *testing.T) {
 // TestUnionDecide pins threshold selection: the non-union threshold
 // normally, the lower union threshold once accelerated, never a higher one.
 func TestUnionDecide(t *testing.T) {
-	p := NewUnion(30, false)
+	p := NewUnion(30)
 	ctx := defaultCtx()
 	ctx.score = 150
 	if th, detect := p.Decide(ctx); th != 200 || detect {
@@ -97,16 +98,22 @@ func TestUnionDecide(t *testing.T) {
 	}
 }
 
-// TestUnionDisabled pins the ablation switch: no acceleration ever.
+// TestUnionDisabled pins the union ablation's composed form: a Majority
+// with an unreachable quorum never accelerates, even with every primary
+// seen, and judges the score against the non-union threshold.
 func TestUnionDisabled(t *testing.T) {
-	p := NewUnion(30, true)
+	p := &Majority{Quorum: math.MaxInt}
 	ctx := defaultCtx()
-	for _, id := range indicator.Primaries() {
-		ctx.seen[id] = true
+	for _, id := range indicator.Builtins() {
+		ctx.seen[id.ID] = true
 	}
+	ctx.score = 199
 	p.AfterAward(ctx)
 	if ctx.accelerated {
-		t.Fatal("disabled union still fired")
+		t.Fatal("unreachable quorum still accelerated")
+	}
+	if th, detect := p.Decide(ctx); th != 200 || detect {
+		t.Fatalf("Decide = (%v, %v), want (200, false)", th, detect)
 	}
 }
 
