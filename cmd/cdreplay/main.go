@@ -40,7 +40,9 @@ import (
 )
 
 // replayCheckpointVersion is the cdreplay checkpoint format version.
-const replayCheckpointVersion = 1
+// Sealed checkpoints carry it folded with the embedded engine snapshot's
+// version (snapshot.Header.Wrap); version 1 envelopes carried it alone.
+const replayCheckpointVersion = 2
 
 // writeReplayCheckpoint seals {record index, engine snapshot} under the
 // engine's identity into dir.
@@ -49,13 +51,10 @@ func writeReplayCheckpoint(dir string, idx int, eng *core.Engine) (string, error
 	if err != nil {
 		return "", err
 	}
-	reg, cfgHash := eng.SnapshotIdentity()
 	enc := snapshot.NewEncoder()
 	enc.Varint(int64(idx))
 	enc.Bytes(blob)
-	sealed := snapshot.Seal(snapshot.Header{
-		Version: replayCheckpointVersion, Registry: reg, Config: cfgHash,
-	}, enc.Data())
+	sealed := snapshot.Seal(eng.SnapshotIdentity().Wrap(replayCheckpointVersion), enc.Data())
 	path := filepath.Join(dir, fmt.Sprintf("ckpt-%08d.cdck", idx))
 	return path, os.WriteFile(path, sealed, 0o644)
 }
@@ -71,10 +70,7 @@ func readReplayCheckpoint(path string, eng *core.Engine) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("%s: %w", path, err)
 	}
-	reg, cfgHash := eng.SnapshotIdentity()
-	if err := h.Check(snapshot.Header{
-		Version: replayCheckpointVersion, Registry: reg, Config: cfgHash,
-	}); err != nil {
+	if err := h.Check(eng.SnapshotIdentity().Wrap(replayCheckpointVersion)); err != nil {
 		if errors.Is(err, snapshot.ErrMismatch) {
 			return 0, fmt.Errorf("%s: %w (was it taken under different tuning flags?)", path, err)
 		}

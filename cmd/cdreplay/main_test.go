@@ -226,4 +226,24 @@ func TestReplayCheckpointResumeRoundTrip(t *testing.T) {
 	if !errors.Is(err, snapshot.ErrMismatch) {
 		t.Fatalf("drifted resume: got %v, want ErrMismatch", err)
 	}
+
+	// A version-1 envelope (the format version alone, without the engine
+	// snapshot's) is refused as a format version.
+	data, err := os.ReadFile(ckpts[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, payload, err := snapshot.Open(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Version = 1
+	old := filepath.Join(dir, "old.cdck")
+	if err := os.WriteFile(old, snapshot.Seal(h, payload), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err = run(append([]string{"-trace", tracePath, "-resume", old}, replayArgs...))
+	if !errors.Is(err, snapshot.ErrVersion) {
+		t.Fatalf("version-1 checkpoint: got %v, want ErrVersion", err)
+	}
 }

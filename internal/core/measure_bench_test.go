@@ -17,14 +17,15 @@ import (
 	"cryptodrop/internal/vfs"
 )
 
-// BenchmarkMeasureMemoized measures one full-tier measurement through
-// Engine.measure: mode=plain runs the kernels (magic + entropy + sdhash)
-// every time; mode=memoized hashes the content and resolves the state
+// BenchmarkMeasureMemoized measures one measurement through
+// Engine.measure: mode=plain runs the full-tier kernels (magic + entropy +
+// sdhash) every time; mode=sampled runs them on the sampled tier's header
+// sample only; mode=memoized hashes the full content and resolves the state
 // from a warm memo cache.
 func BenchmarkMeasureMemoized(b *testing.B) {
 	const root = "/Users/victim/Documents"
 	for _, size := range benchSizes {
-		for _, mode := range []string{"plain", "memoized"} {
+		for _, mode := range []string{"plain", "sampled", "memoized"} {
 			b.Run(fmt.Sprintf("size=%dKiB/mode=%s", size>>10, mode), func(b *testing.B) {
 				fs := vfs.New()
 				if err := fs.MkdirAll(root); err != nil {
@@ -43,20 +44,24 @@ func BenchmarkMeasureMemoized(b *testing.B) {
 				h.Close()
 
 				cfg := DefaultConfig(root)
-				if mode == "memoized" {
+				switch mode {
+				case "sampled":
+					cfg.Tier = TierSampled
+				case "memoized":
 					cfg.MeasureCache = measurecache.New(64 << 20)
 				}
+				sampled := mode == "sampled"
 				e := New(cfg, testSource{fs})
 				// Warm: the first measurement fills the cache (memoized mode)
 				// and faults nothing thereafter.
-				if st := e.measure(id, false, false); st == nil {
+				if st := e.measure(id, sampled, false); st == nil {
 					b.Fatal("nil state")
 				}
 				b.SetBytes(int64(len(content)))
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if st := e.measure(id, false, false); st == nil {
+					if st := e.measure(id, sampled, false); st == nil {
 						b.Fatal("nil state")
 					}
 				}

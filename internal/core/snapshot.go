@@ -80,19 +80,15 @@ func (e *Engine) configHash() string {
 	return fmt.Sprintf("cfg2-%016x", h.Sum64())
 }
 
-// SnapshotIdentity returns the identity fingerprints every snapshot of this
-// engine embeds: the indicator-registry fingerprint ("reg1-…", the same
+// SnapshotIdentity returns the envelope identity every snapshot of this
+// engine is sealed with and restore expects: the engine snapshot format
+// version, the indicator-registry fingerprint ("reg1-…", the same
 // canonical identity the audit bundles carry) and the scoring-config hash
-// ("cfg2-…"). Hosts embed the pair in their own checkpoint envelopes so a
-// session file is refused at open time, before engine state is decoded.
-func (e *Engine) SnapshotIdentity() (registry, config string) {
-	return e.reg.Fingerprint(), e.configHash()
-}
-
-// snapshotHeader is the envelope identity this engine seals and expects.
-func (e *Engine) snapshotHeader() snapshot.Header {
-	reg, cfg := e.SnapshotIdentity()
-	return snapshot.Header{Version: engineSnapshotVersion, Registry: reg, Config: cfg}
+// ("cfg2-…"). Hosts fold the version into their own envelope versions and
+// embed the fingerprints, so a checkpoint is refused at open time, before
+// engine state is decoded.
+func (e *Engine) SnapshotIdentity() snapshot.Header {
+	return snapshot.Header{Version: engineSnapshotVersion, Registry: e.reg.Fingerprint(), Config: e.configHash()}
 }
 
 // Snapshot captures the engine's complete scoring state as a sealed,
@@ -108,7 +104,7 @@ func (e *Engine) Snapshot() ([]byte, error) {
 		return nil, err
 	}
 	e.encodeFlight(enc)
-	return snapshot.Seal(e.snapshotHeader(), enc.Data()), nil
+	return snapshot.Seal(e.SnapshotIdentity(), enc.Data()), nil
 }
 
 // Restore rebuilds the engine's scoring state from a snapshot captured by an
@@ -124,7 +120,7 @@ func (e *Engine) Restore(data []byte) error {
 	if err != nil {
 		return err
 	}
-	if err := h.Check(e.snapshotHeader()); err != nil {
+	if err := h.Check(e.SnapshotIdentity()); err != nil {
 		return err
 	}
 	d := snapshot.NewDecoder(payload)

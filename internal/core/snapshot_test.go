@@ -203,14 +203,15 @@ func TestEngineRestoreMismatch(t *testing.T) {
 	// and 2 are retired layouts (1 still carried the incremental-entropy
 	// tracker section, 2 a weighting flag per entropy mean); they are
 	// refused as format versions, not as damage.
-	regFP, cfgHash := eng.SnapshotIdentity()
+	id := eng.SnapshotIdentity()
 	same := New(cfg, testSource{fs})
 	_, payload, err := snapshot.Open(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, v := range []uint64{1, 2, 99} {
-		skewed := snapshot.Seal(snapshot.Header{Version: v, Registry: regFP, Config: cfgHash}, payload)
+		id.Version = v
+		skewed := snapshot.Seal(id, payload)
 		err := same.Restore(skewed)
 		if !errors.Is(err, snapshot.ErrVersion) || errors.Is(err, ErrSnapshotCorrupt) {
 			t.Fatalf("version %d: got %v, want ErrVersion only", v, err)

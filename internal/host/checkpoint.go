@@ -22,8 +22,10 @@ import (
 // (recoverable; replay skips the now-covered records via their start
 // counters). The WAL truncate is pure garbage collection.
 
-// hostSnapshotVersion is the session checkpoint format version.
-const hostSnapshotVersion = 1
+// hostSnapshotVersion is the session checkpoint format version. Sealed
+// checkpoints carry it folded with the embedded engine snapshot's version
+// (snapshot.Header.Wrap); version 1 envelopes carried it alone.
+const hostSnapshotVersion = 2
 
 // sessionCheckpoint is the decoded host-level state of a checkpoint file.
 type sessionCheckpoint struct {

@@ -472,6 +472,31 @@ func TestRestoreIdentityMismatch(t *testing.T) {
 			t.Fatalf("v%d: refused restore rewrote the checkpoint (err %v)", v, err)
 		}
 	}
+
+	// A checkpoint sealed the old way: the envelope carried host format
+	// version 1 alone, around a version-2 engine snapshot, under the
+	// fingerprints of its build (an older config-hash form among them). It
+	// is refused as a format version, not as configuration drift.
+	eh.Version = 2
+	c.engine = snapshot.Seal(eh, payload)
+	id := s1.checkpointIdentity()
+	for _, cfg := range []string{id.Config, "cfg1-0123456789abcdef"} {
+		old := encodeCheckpoint(snapshot.Header{Version: 1, Registry: id.Registry, Config: cfg}, c)
+		if err := os.WriteFile(ckpt, old, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		h3 := New(Config{CheckpointDir: dir, Restore: true})
+		_, err = h3.Open("v", SessionConfig{Engine: core.DefaultConfig("/docs"), Direct: true})
+		if !errors.Is(err, snapshot.ErrVersion) || errors.Is(err, snapshot.ErrMismatch) {
+			t.Fatalf("old-way checkpoint (%s): got %v, want ErrVersion and not ErrMismatch", cfg, err)
+		}
+		if ids := h3.Sessions(); len(ids) != 0 {
+			t.Fatalf("old-way checkpoint (%s): refused restore registered sessions %v", cfg, ids)
+		}
+		if after, err := os.ReadFile(ckpt); err != nil || !bytes.Equal(after, old) {
+			t.Fatalf("old-way checkpoint (%s): refused restore rewrote the checkpoint (err %v)", cfg, err)
+		}
+	}
 }
 
 // TestFreshOpenTruncatesStale: without Restore, opening over leftover state

@@ -373,11 +373,12 @@ func (s *Session) openDurable(dir string, every int, restore bool) error {
 }
 
 // checkpointIdentity is the sealed identity of this session's checkpoints:
-// the checkpoint format version plus the engine's registry and config
-// fingerprints.
+// the checkpoint format version folded with the engine's snapshot version,
+// plus the engine's registry and config fingerprints. A checkpoint from a
+// build with another engine format is refused with snapshot.ErrVersion
+// before its fingerprints are compared.
 func (s *Session) checkpointIdentity() snapshot.Header {
-	reg, cfg := s.eng.SnapshotIdentity()
-	return snapshot.Header{Version: hostSnapshotVersion, Registry: reg, Config: cfg}
+	return s.eng.SnapshotIdentity().Wrap(hostSnapshotVersion)
 }
 
 // checkpointNow captures and commits a checkpoint, then truncates the WAL.

@@ -26,33 +26,54 @@ func benchInput(size int) []byte {
 	return out[:size]
 }
 
+// BenchmarkSdhashCompute digests document-like input, where selection
+// finds features, and ciphertext, where every window ranks zero and the
+// rank pass is the whole cost.
 func BenchmarkSdhashCompute(b *testing.B) {
-	for _, size := range []int{4 << 10, 32 << 10, 64 << 10, 1 << 20} {
-		b.Run(fmt.Sprintf("size=%dKiB", size>>10), func(b *testing.B) {
-			data := benchInput(size)
-			b.SetBytes(int64(size))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := Compute(data); err != nil {
-					b.Fatal(err)
+	for _, in := range []struct {
+		name string
+		gen  func(size int) []byte
+	}{
+		{"doc", benchInput},
+		{"cipher", func(size int) []byte { return genRandom(98, size) }},
+	} {
+		for _, size := range []int{4 << 10, 32 << 10, 64 << 10, 1 << 20} {
+			b.Run(fmt.Sprintf("%s/size=%dKiB", in.name, size>>10), func(b *testing.B) {
+				data := in.gen(size)
+				b.SetBytes(int64(size))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := Compute(data); err != nil && err != ErrNoFeatures {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 
 func BenchmarkSdhashCompare(b *testing.B) {
-	da, err := Compute(benchInput(256 << 10))
-	if err != nil {
-		b.Fatal(err)
-	}
-	db, err := Compute(benchInput(256 << 10))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		da.Compare(db)
+	for _, in := range []struct {
+		name string
+		a, b []byte
+	}{
+		{"text/size=32KiB", genText(21, 32<<10), genText(22, 32<<10)},
+		{"doc/size=256KiB", benchInput(256 << 10), benchInput(256 << 10)},
+	} {
+		b.Run(in.name, func(b *testing.B) {
+			da, err := Compute(in.a)
+			if err != nil {
+				b.Fatal(err)
+			}
+			db, err := Compute(in.b)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				da.Compare(db)
+			}
+		})
 	}
 }

@@ -1,6 +1,9 @@
 package sdhash
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func FuzzComputeCompare(f *testing.F) {
 	f.Add([]byte("hello world"), []byte("hello mars"))
@@ -34,5 +37,26 @@ func FuzzUnmarshalText(f *testing.F) {
 	f.Fuzz(func(t *testing.T, s string) {
 		var d Digest
 		_ = d.UnmarshalText([]byte(s)) // must never panic
+	})
+}
+
+// FuzzSelectFeaturesMatchReference requires the integer-rank skip-ahead
+// selection to pick the float-chain oracle's offsets, allowing only the
+// boundary-partition divergence that referenceSelection adjudicates.
+func FuzzSelectFeaturesMatchReference(f *testing.F) {
+	f.Add(genText(1, 4096))
+	f.Add(benchInput(8 << 10))
+	f.Add(genRandom(2, 2048))
+	f.Add(append(genText(15, 100), boundaryWindow()...))
+	f.Add(append(append(genText(3, 700), genRandom(4, 700)...), make([]byte, 300)...))
+	f.Add([]byte("short"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		want, _, err := referenceSelection(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := selectFeatures(data); !slices.Equal(got, want) {
+			t.Fatalf("selected %v, oracle %v", got, want)
+		}
 	})
 }

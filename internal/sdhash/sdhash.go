@@ -5,7 +5,10 @@
 // The digest selects statistically improbable 64-byte features from the
 // input — windows whose Shannon entropy falls in a characteristic band and
 // that are locally maximal in precedence — and inserts their hashes into a
-// sequence of Bloom filters. Comparing two digests estimates how many
+// sequence of Bloom filters. Window ranks are computed from each window's
+// byte counts in exact fixed-point arithmetic, and selection skips every
+// window that provably cannot be a local maximum, so a digest costs two
+// O(n) passes with about two rank compares per window. Comparing two digests estimates how many
 // features they share, yielding a confidence score from 0 to 100:
 //
 //   - 100 means the inputs are almost certainly homologous;
@@ -18,6 +21,7 @@ package sdhash
 
 import (
 	"crypto/sha1"
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/bits"
@@ -90,152 +94,161 @@ func (d *Digest) MemSize() int {
 	return n
 }
 
-// precedence maps a window's entropy to a selection rank. Both very low
-// entropy (constant runs, padding) and near-maximal entropy (compressed or
-// encrypted regions) rank at zero, so random-looking data generates few
-// features — the property that drives ciphertext scores to zero.
-func precedence(e float64) int {
-	// A 64-byte window has at most 64 distinct values → max entropy 6 bits.
-	// Scale to a 0..1000 bucket like sdhash's entropy scoring.
-	bucket := int(e * 1000 / 6)
-	switch {
-	case bucket < 100:
-		return 0
-	case bucket >= 890:
-		// Near-random: uniformly sampled 64-byte windows land around
-		// bucket 930+ (entropy ≈ 5.6+ of 6), with a tail reaching down
-		// toward 890. Zero the whole band so ciphertext and compressed
-		// streams generate no features.
-		return 0
-	case bucket >= 850:
-		return 1 + (890-bucket)/10
-	default:
-		// Unimodal ramp peaking in the mid-entropy band where
-		// characteristic, low-probability features live.
-		return 5 + bucket/10
+// bucketRank maps an entropy bucket ⌊H·1000/6⌋ (a 64-byte window has at
+// most 6 bits of entropy, so buckets run 0..1000, like sdhash's entropy
+// scoring) to a selection rank. Both very low entropy (constant runs,
+// padding) and near-maximal entropy (compressed or encrypted regions) rank
+// at zero, so random-looking data generates few features — the property
+// that drives ciphertext scores to zero.
+var bucketRank = func() (t [1001]uint8) {
+	for b := range t {
+		switch {
+		case b < 100:
+		case b >= 890:
+			// Near-random: uniformly sampled 64-byte windows land around
+			// bucket 930+ (entropy ≈ 5.6+ of 6), with a tail reaching down
+			// toward 890. Zero the whole band so ciphertext and compressed
+			// streams generate no features.
+		case b >= 850:
+			t[b] = uint8(1 + (890-b)/10)
+		default:
+			// Unimodal ramp peaking in the mid-entropy band where
+			// characteristic, low-probability features live.
+			t[b] = uint8(5 + b/10)
+		}
 	}
-}
-
-// flogTab[f] = f·log2(f) for the window frequencies f ∈ [0, WindowSize],
-// precomputed once so the rolling-entropy inner loop performs no logarithm
-// calls at all. Entries use the same expression the direct computation
-// used, so results are bit-identical.
-var flogTab = func() *[WindowSize + 1]float64 {
-	var t [WindowSize + 1]float64
-	for f := 2; f <= WindowSize; f++ {
-		t[f] = float64(f) * math.Log2(float64(f))
-	}
-	return &t
+	return t
 }()
 
-func flog(f int) float64 { return flogTab[f] }
+// A window's entropy is H = 6 − S/64 with S = Σ f·log2(f) over its byte
+// counts f, so its bucket is ⌊1000 − S·125/48⌋. S is kept in fixed point,
+// scaled by 2^fixedShift: every term f·log2(f) is rounded once, so a
+// window's S depends only on its byte counts, never on where the window
+// sits in the input. The rounding error (at most 64·2^-33) is far below
+// 2.24e-6, the closest any partition of 64 comes to a rank boundary without
+// sitting on it; the 49 that sit on one have power-of-two counts, whose
+// terms are exact in fixed point. TestRankExhaustivePartitions checks every
+// partition.
+const (
+	fixedShift = 32
+	// fixedBucket is one entropy bucket in fixed-point S units: 48/125.
+	fixedBucket = 48 << fixedShift
+)
 
-// windowEntropies returns the Shannon entropy of every WindowSize-byte
-// window of data, computed incrementally in O(n).
-func windowEntropies(data []byte) []float64 {
-	n := len(data) - WindowSize + 1
-	if n <= 0 {
-		return nil
+// flogStep[f] is the fixed-point change in S when one byte value's count
+// in the window rises from f to f+1: round((f+1)·log2(f+1)·2^32) −
+// round(f·log2(f)·2^32). Sized 256 so a uint8 count indexes it unchecked.
+var flogStep = func() (t [256]uint64) {
+	g := func(f int) uint64 {
+		if f < 2 {
+			return 0
+		}
+		return uint64(math.Round(float64(f) * math.Log2(float64(f)) * (1 << fixedShift)))
 	}
-	out := make([]float64, n)
-	var freq [256]int
-	// S = Σ f·log2(f); H = log2(W) − S/W for fixed window size W.
-	var s float64
+	for f := 0; f < WindowSize; f++ {
+		t[f] = g(f+1) - g(f)
+	}
+	return t
+}()
+
+// rankOf maps a window's fixed-point S to its selection rank. S never
+// exceeds 384 (one byte value filling the window), so the numerator is
+// non-negative and the division floors exactly.
+func rankOf(s uint64) uint8 {
+	return bucketRank[(1000*fixedBucket-125*s)/fixedBucket]
+}
+
+// windowRanks sets ranks[i] to the selection rank of the window starting at
+// data[i], for every window of data; len(ranks) must be len(data) −
+// WindowSize + 1 ≥ 1. It rolls the byte histogram and S one byte at a
+// time: the outgoing byte's count falls before the incoming byte's rises,
+// so a byte that both leaves and enters cancels exactly.
+func windowRanks(data []byte, ranks []uint8) {
+	var freq [256]uint8
+	var s uint64
 	for _, b := range data[:WindowSize] {
+		s += flogStep[freq[b]]
 		freq[b]++
 	}
-	for _, f := range freq {
-		s += flog(f)
+	ranks[0] = rankOf(s)
+	rest := ranks[1:]
+	outs := data[:len(rest)]
+	ins := data[WindowSize : WindowSize+len(rest)]
+	for i := range rest {
+		out, in := outs[i], ins[i]
+		freq[out]--
+		s -= flogStep[freq[out]]
+		s += flogStep[freq[in]]
+		freq[in]++
+		rest[i] = rankOf(s)
 	}
-	logW := math.Log2(WindowSize)
-	out[0] = logW - s/WindowSize
-	for i := 1; i < n; i++ {
-		outb := data[i-1]
-		inb := data[i+WindowSize-1]
-		if outb != inb {
-			s -= flog(freq[outb])
-			freq[outb]--
-			s += flog(freq[outb])
-			s -= flog(freq[inb])
-			freq[inb]++
-			s += flog(freq[inb])
-		}
-		out[i] = logW - s/WindowSize
-	}
-	return out
 }
 
 // rankPool recycles per-window rank buffers across Compute calls: a 1 MiB
-// input needs a ~2 MiB rank buffer, which dominated the digest's
-// allocation profile when it was rebuilt per call.
-var rankPool = sync.Pool{New: func() any { return new([]int16) }}
+// input needs a 1 MiB rank buffer, which dominated the digest's allocation
+// profile when it was rebuilt per call.
+var rankPool = sync.Pool{New: func() any { return new([]uint8) }}
+
+// The strict left test below spaces selected features more than
+// selectionSpan windows apart, so the minFeatureGap rule never binds; this
+// stops compiling if it ever could.
+const _ uint = selectionSpan - minFeatureGap
 
 // selectFeatures returns the start offsets of selected features: windows
-// whose precedence rank is positive and maximal within ±selectionSpan
-// windows, at least minFeatureGap bytes apart. The per-window entropies are
-// folded directly into precedence ranks as the window rolls — one fused
-// O(n) pass with no intermediate entropy slice.
+// whose rank is positive, strictly greater than every rank up to
+// selectionSpan windows to the left and at least every rank up to
+// selectionSpan windows to the right, and at least minFeatureGap bytes
+// after the previous feature.
+//
+// The scan skips every window that provably fails that test, so it does
+// about two rank compares per window instead of up to 2·selectionSpan+1:
+//   - a rank-zero window fails;
+//   - if a larger rank lies at j within selectionSpan to the right of i,
+//     i fails, and so does every window between them, since j is within
+//     each one's right span and outranks it: jump to j;
+//   - otherwise every window in (i, i+selectionSpan] has i in its left
+//     span with a rank at least its own, so it fails whether or not i is
+//     selected: test i's left span once, then jump past them.
 func selectFeatures(data []byte) []int {
 	n := len(data) - WindowSize + 1
 	if n <= 0 {
 		return nil
 	}
-	bufp := rankPool.Get().(*[]int16)
+	bufp := rankPool.Get().(*[]uint8)
 	ranks := *bufp
 	if cap(ranks) < n {
-		ranks = make([]int16, n)
+		ranks = make([]uint8, n)
 	} else {
 		ranks = ranks[:n]
 	}
-	var freq [256]int
-	// S = Σ f·log2(f); H = log2(W) − S/W for fixed window size W.
-	var s float64
-	for _, b := range data[:WindowSize] {
-		freq[b]++
-	}
-	for _, f := range freq {
-		s += flog(f)
-	}
-	logW := math.Log2(WindowSize)
-	ranks[0] = int16(precedence(logW - s/WindowSize))
-	for i := 1; i < n; i++ {
-		outb := data[i-1]
-		inb := data[i+WindowSize-1]
-		if outb != inb {
-			s -= flog(freq[outb])
-			freq[outb]--
-			s += flog(freq[outb])
-			s -= flog(freq[inb])
-			freq[inb]++
-			s += flog(freq[inb])
-		}
-		ranks[i] = int16(precedence(logW - s/WindowSize))
-	}
+	windowRanks(data, ranks)
 	var selected []int
-	last := -minFeatureGap
-	for i, r := range ranks {
-		if r == 0 || i-last < minFeatureGap {
+	for i := 0; i < n; {
+		r := ranks[i]
+		if r == 0 {
+			// Ciphertext ranks zero throughout: skip zero runs eight
+			// windows at a time.
+			for i++; i+8 <= n && binary.LittleEndian.Uint64(ranks[i:]) == 0; i += 8 {
+			}
 			continue
 		}
-		lo := i - selectionSpan
-		if lo < 0 {
-			lo = 0
+		hi := min(i+selectionSpan, n-1)
+		j := i + 1
+		for j <= hi && ranks[j] <= r {
+			j++
 		}
-		hi := i + selectionSpan
-		if hi >= len(ranks) {
-			hi = len(ranks) - 1
+		if j <= hi {
+			i = j
+			continue
 		}
-		isMax := true
-		for j := lo; j <= hi; j++ {
-			if ranks[j] > r || (ranks[j] == r && j < i) {
-				isMax = false
-				break
-			}
+		k := max(i-selectionSpan, 0)
+		for k < i && ranks[k] < r {
+			k++
 		}
-		if isMax {
+		if k == i {
 			selected = append(selected, i)
-			last = i
 		}
+		i += selectionSpan + 1
 	}
 	*bufp = ranks
 	rankPool.Put(bufp)
@@ -247,7 +260,11 @@ func Compute(data []byte) (*Digest, error) {
 	if len(data) < MinInputSize {
 		return nil, ErrTooSmall
 	}
-	offsets := selectFeatures(data)
+	return digestOf(data, selectFeatures(data))
+}
+
+// digestOf folds the features of data starting at offsets into a digest.
+func digestOf(data []byte, offsets []int) (*Digest, error) {
 	if len(offsets) < minFeatures {
 		return nil, ErrNoFeatures
 	}

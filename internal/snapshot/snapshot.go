@@ -84,6 +84,17 @@ type Header struct {
 	Config string
 }
 
+// Wrap returns the identity of an outer envelope, in format version outer,
+// that embeds a blob sealed under h: h's fingerprints, with the two format
+// versions folded into one (outer<<16 | h.Version), so the envelope's
+// version changes whenever either format does and a stale envelope is
+// refused with ErrVersion before its fingerprints are compared. Inner
+// versions must stay below 1<<16.
+func (h Header) Wrap(outer uint64) Header {
+	h.Version = outer<<16 | h.Version
+	return h
+}
+
 // Check verifies that a decoded header matches the restoring pipeline's
 // expectation: version first (ErrVersion), then the registry and config
 // fingerprints (typed MismatchError wrapping ErrMismatch).

@@ -163,6 +163,24 @@ func TestHeaderCheck(t *testing.T) {
 	}
 }
 
+// TestHeaderWrap pins envelope identities: the fingerprints carry over,
+// and a change of either the outer or the inner format version is a
+// version skew, never a fingerprint mismatch.
+func TestHeaderWrap(t *testing.T) {
+	inner := Header{Version: 3, Registry: "reg1-a", Config: "cfg2-b"}
+	want := inner.Wrap(2)
+	if want.Registry != inner.Registry || want.Config != inner.Config {
+		t.Fatalf("Wrap changed the fingerprints: %+v", want)
+	}
+	old := inner
+	old.Version = 2
+	for _, h := range []Header{inner.Wrap(1), old.Wrap(2), {Version: 2, Registry: "reg1-a", Config: "cfg1-x"}} {
+		if err := h.Check(want); !errors.Is(err, ErrVersion) {
+			t.Fatalf("%+v against %+v: got %v, want ErrVersion", h, want, err)
+		}
+	}
+}
+
 // TestDecoderStickyAndBounded pins the two hardening properties: errors
 // are sticky (reads after a failure return zero values) and hostile length
 // fields cannot demand more bytes than the payload holds.
