@@ -53,32 +53,20 @@ type config struct {
 	quick   bool
 	workers int
 	jsonOut string
-	// Measurement-optimisation knobs (DESIGN.md "Measurement tiers and
-	// memoization"); applied to the roster-driven experiments (table1,
-	// fig3, fig4, fig5, fig6, union, paper).
-	cacheMB  int
-	tier     string
-	sampleKB int
+	// cacheMB sizes one measurement memo cache shared by the
+	// roster-driven experiments (DESIGN.md "Measurement and memoization").
+	cacheMB int
 }
 
-// monitorOpts translates the measurement-optimisation flags into monitor
-// options for the experiment runners. A positive -measure-cache-mb builds
-// one cache shared by every monitor in the run (the fleet-dedup
-// configuration; the cache is safe for concurrent engines); otherwise each
-// monitor memoizes in its own.
-func (cfg config) monitorOpts() ([]cryptodrop.Option, error) {
-	var opts []cryptodrop.Option
-	if cfg.cacheMB > 0 {
-		opts = append(opts, cryptodrop.WithMeasureCache(cryptodrop.NewMeasureCache(int64(cfg.cacheMB)<<20)))
+// monitorOpts translates -measure-cache-mb into monitor options for the
+// experiment runners. A positive value builds one cache shared by every
+// monitor in the run (the fleet-dedup configuration; the cache is safe for
+// concurrent engines); otherwise each monitor memoizes in its own.
+func (cfg config) monitorOpts() []cryptodrop.Option {
+	if cfg.cacheMB <= 0 {
+		return nil
 	}
-	switch cfg.tier {
-	case "", "full":
-	case "sampled":
-		opts = append(opts, cryptodrop.WithSampledTier(cfg.sampleKB<<10))
-	default:
-		return nil, fmt.Errorf("unknown tier %q (want full or sampled)", cfg.tier)
-	}
-	return opts, nil
+	return []cryptodrop.Option{cryptodrop.WithMeasureCache(cryptodrop.NewMeasureCache(int64(cfg.cacheMB) << 20))}
 }
 
 func run(args []string) error {
@@ -96,8 +84,6 @@ func run(args []string) error {
 	fs.IntVar(&cfg.workers, "workers", runtime.NumCPU(), "parallel sample workers")
 	fs.StringVar(&cfg.jsonOut, "json", "", "also export roster outcomes as JSON to this file")
 	fs.IntVar(&cfg.cacheMB, "measure-cache-mb", 0, "measurement memo cache shared across the run's monitors, in MiB (0 = each monitor keeps its own memo)")
-	fs.StringVar(&cfg.tier, "tier", "full", "measurement tier: full, or sampled for the two-tier ladder")
-	fs.IntVar(&cfg.sampleKB, "sample-kb", 0, "sampled-tier header sample size in KiB (0 = default 8)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -162,11 +148,7 @@ func buildRoster(cfg config) []ransomware.Sample {
 
 // runRoster executes the roster with optional progress output.
 func runRoster(cfg config, spec corpus.Spec, roster []ransomware.Sample) ([]experiments.SampleOutcome, error) {
-	opts, err := cfg.monitorOpts()
-	if err != nil {
-		return nil, err
-	}
-	r, err := experiments.NewRunner(spec, opts...)
+	r, err := experiments.NewRunner(spec, cfg.monitorOpts()...)
 	if err != nil {
 		return nil, err
 	}
@@ -239,11 +221,7 @@ func expPaper(cfg config, spec corpus.Spec, roster []ransomware.Sample) error {
 // detection-only vs versioned-backend rollback, rendering median files lost
 // before and after recovery per family and behavioural class.
 func expRecovery(cfg config, spec corpus.Spec, roster []ransomware.Sample) error {
-	opts, err := cfg.monitorOpts()
-	if err != nil {
-		return err
-	}
-	tbl, err := experiments.RunRecoveryExperiment(spec, roster, opts...)
+	tbl, err := experiments.RunRecoveryExperiment(spec, roster, cfg.monitorOpts()...)
 	if err != nil {
 		return err
 	}
@@ -267,11 +245,7 @@ func expFig3(cfg config, spec corpus.Spec, roster []ransomware.Sample) error {
 }
 
 func expFig4(cfg config, spec corpus.Spec, roster []ransomware.Sample) error {
-	opts, err := cfg.monitorOpts()
-	if err != nil {
-		return err
-	}
-	r, err := experiments.NewRunner(spec, opts...)
+	r, err := experiments.NewRunner(spec, cfg.monitorOpts()...)
 	if err != nil {
 		return err
 	}
@@ -334,11 +308,7 @@ func expFig5(cfg config, spec corpus.Spec, roster []ransomware.Sample) error {
 }
 
 func expFig6(cfg config, spec corpus.Spec, roster []ransomware.Sample) error {
-	opts, err := cfg.monitorOpts()
-	if err != nil {
-		return err
-	}
-	r, err := experiments.NewRunner(spec, opts...)
+	r, err := experiments.NewRunner(spec, cfg.monitorOpts()...)
 	if err != nil {
 		return err
 	}

@@ -246,4 +246,51 @@ func TestReplayCheckpointResumeRoundTrip(t *testing.T) {
 	if !errors.Is(err, snapshot.ErrVersion) {
 		t.Fatalf("version-1 checkpoint: got %v, want ErrVersion", err)
 	}
+
+	// A version-3 engine snapshot (it still carried the sampled tier's
+	// escalation latch and prefix-entropy fields) is refused as a format
+	// version, not as tuning drift, whether only the embedded snapshot is
+	// at version 3 or the whole checkpoint is as the previous build wrote
+	// it, under that build's "cfg2-" config hash. Nothing is replayed and
+	// the file is left as it was.
+	d := snapshot.NewDecoder(payload)
+	idx := d.Varint()
+	blob := d.Bytes()
+	if d.Err() != nil {
+		t.Fatal(d.Err())
+	}
+	eh, epayload, err := snapshot.Open(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	embedded := eh
+	embedded.Version = 3
+	prev := snapshot.Header{Version: 3, Registry: eh.Registry, Config: "cfg2-0123456789abcdef"}
+	for _, c := range []struct {
+		name         string
+		outer, inner snapshot.Header
+	}{
+		{"embedded-v3", eh.Wrap(replayCheckpointVersion), embedded},
+		{"previous-build", prev.Wrap(replayCheckpointVersion), prev},
+	} {
+		enc := snapshot.NewEncoder()
+		enc.Varint(idx)
+		enc.Bytes(snapshot.Seal(c.inner, epayload))
+		sealed := snapshot.Seal(c.outer, enc.Data())
+		ck := filepath.Join(dir, c.name+".cdck")
+		if err := os.WriteFile(ck, sealed, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		out := filepath.Join(dir, c.name+".json")
+		err := run(append([]string{"-trace", tracePath, "-trace-out", out, "-resume", ck}, replayArgs...))
+		if !errors.Is(err, snapshot.ErrVersion) || errors.Is(err, snapshot.ErrMismatch) {
+			t.Fatalf("%s checkpoint: got %v, want ErrVersion and not ErrMismatch", c.name, err)
+		}
+		if _, err := os.Stat(out); !os.IsNotExist(err) {
+			t.Fatalf("%s checkpoint: refused resume still wrote %s (stat err %v)", c.name, out, err)
+		}
+		if after, err := os.ReadFile(ck); err != nil || !bytes.Equal(after, sealed) {
+			t.Fatalf("%s checkpoint: refused resume changed the file (err %v)", c.name, err)
+		}
+	}
 }

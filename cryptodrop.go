@@ -127,10 +127,6 @@ type (
 	EventFlag = core.EventFlag
 	// ContentSource supplies file content by stable file ID.
 	ContentSource = core.ContentSource
-	// RangeReader is the optional ContentSource capability for serving byte
-	// ranges; the sampled measurement tier uses it to read only the header
-	// sample.
-	RangeReader = core.RangeReader
 	// MeasureCache is a bounded content-hash measurement memo cache,
 	// shareable across engines and host sessions. Create with
 	// NewMeasureCache.
@@ -138,9 +134,6 @@ type (
 	// MeasureCacheStats is a point-in-time snapshot of a MeasureCache's
 	// hit/miss/eviction counters and occupancy.
 	MeasureCacheStats = measurecache.Stats
-	// MeasureTier selects the measurement ladder tier an engine scores on:
-	// TierFull (default) or TierSampled.
-	MeasureTier = core.MeasureTier
 	// SpanTracer is the sampling causal span tracer behind WithSpanTracer;
 	// create with NewSpanTracer, export with its WriteChromeTrace.
 	SpanTracer = telemetry.SpanTracer
@@ -168,14 +161,6 @@ type (
 // maxBytes of retained content (<= 0: unbounded). Hand it to WithRecovery;
 // consult Stats for retention counters.
 func NewVersionStore(maxBytes int64) *VersionStore { return versioned.NewStore(maxBytes) }
-
-// The measurement ladder tiers. TierSampled is the cheap tier: header-area
-// sampling with per-process escalation to TierFull on the first indicator
-// firing.
-const (
-	TierFull    = core.TierFull
-	TierSampled = core.TierSampled
-)
 
 // NewMeasureCache returns a measurement memo cache bounded to roughly
 // maxBytes of cached state. Hand it to WithMeasureCache,
@@ -373,20 +358,6 @@ func WithFamilyScoring() Option {
 // with NewMeasureCache.
 func WithMeasureCache(c *MeasureCache) Option {
 	return func(o *options) { o.cfg.MeasureCache = c }
-}
-
-// WithSampledTier puts the engine on the cheap tier of the two-tier
-// measurement ladder: file measurements read only the leading sampleBytes of
-// content (zero means the default sample size) and score on sampled entropy,
-// magic type and a prefix digest, until a process's first indicator firing
-// escalates that process to full measurement. Benign bulk traffic pays a
-// fraction of the read and kernel cost; suspicious processes converge to
-// full-fidelity scoring.
-func WithSampledTier(sampleBytes int) Option {
-	return func(o *options) {
-		o.cfg.Tier = core.TierSampled
-		o.cfg.SampleBytes = sampleBytes
-	}
 }
 
 // WithCheckpoint makes the monitor's session durable: its complete scoring

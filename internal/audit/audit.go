@@ -2,7 +2,7 @@
 // machine-readable records answering "why was this process flagged?" — the
 // per-indicator score provenance, the files it touched and lost, the
 // engine configuration and indicator-registry fingerprint that produced
-// the verdict, and the measurement-tier and cache statistics behind it.
+// the verdict, and the measurement cache statistics behind it.
 //
 // The engine assembles a Bundle for every detection and hands it to a
 // pluggable Sink outside all engine locks. The shipped JSONLSink appends
@@ -55,8 +55,6 @@ type EngineConfig struct {
 	EntropyDeltaThreshold float64 `json:"entropyDeltaThreshold"`
 	SimilarityMatchMax    int     `json:"similarityMatchMax"`
 	FunnelingThreshold    int     `json:"funnelingThreshold"`
-	Tier                  string  `json:"tier"`
-	SampleBytes           int     `json:"sampleBytes,omitempty"`
 	NewCipherWithoutDelta bool    `json:"newCipherWithoutDelta,omitempty"`
 	PayloadBlind          bool    `json:"payloadBlind,omitempty"`
 }
@@ -85,11 +83,6 @@ type CacheStats struct {
 
 // Measurement is the measurement-side context of a verdict.
 type Measurement struct {
-	// Tier is the session's measurement ladder tier ("full" or "sampled").
-	Tier string `json:"tier"`
-	// Escalated reports whether the flagged process had been promoted to
-	// full measurement under the sampled tier.
-	Escalated bool `json:"escalated,omitempty"`
 	// Cache is the shared memo cache's statistics; nil when no cache was
 	// configured.
 	Cache *CacheStats `json:"cache,omitempty"`

@@ -12,7 +12,7 @@ import (
 
 func sample(pid int) *Bundle {
 	return &Bundle{
-		Version: 1, SessionID: "s1", PID: pid, Score: 146, Threshold: 140,
+		Version: 2, SessionID: "s1", PID: pid, Score: 146, Threshold: 140,
 		Union: true, OpIndex: 28, FilesLost: 7,
 		Contributions: []Contribution{
 			{Indicator: "file-type-change", ID: 1, Points: 56, Fires: 7},
@@ -20,7 +20,7 @@ func sample(pid int) *Bundle {
 			{Indicator: "entropy-delta", ID: 3, Points: 12, Fires: 13},
 			{Indicator: "union-bonus", Points: 30, Fires: 1},
 		},
-		Engine:   EngineConfig{ProtectedRoot: "/docs", NonUnionThreshold: 200, UnionThreshold: 140, Tier: "full"},
+		Engine:   EngineConfig{ProtectedRoot: "/docs", NonUnionThreshold: 200, UnionThreshold: 140},
 		Registry: RegistryInfo{Fingerprint: "reg1-0000000000000001", Units: []string{"1:file-type-change"}, Policy: "*policy.Union"},
 		Trace:    telemetry.Trace{Group: pid},
 	}

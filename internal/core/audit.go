@@ -12,23 +12,15 @@ import (
 // self-contained "why was this process flagged" record emitted through
 // Config.AuditSink. Assembly runs in dispatch, outside all engine locks;
 // everything that must be read consistently with the detection (score
-// composition, files lost, escalation) was captured under the shard lock
+// composition, files lost, deletions) was captured under the shard lock
 // inside firedDetection, and the firing history comes from the flight
 // recorder's causal prefix.
-
-// tierName names a measurement ladder tier for audit records.
-func tierName(t MeasureTier) string {
-	if t == TierSampled {
-		return "sampled"
-	}
-	return "full"
-}
 
 // buildAuditBundle assembles the audit record for one fired detection.
 func (e *Engine) buildAuditBundle(fd firedDetection) *audit.Bundle {
 	det := fd.det
 	b := &audit.Bundle{
-		Version:   1,
+		Version:   2,
 		SessionID: e.cfg.SessionID,
 		PID:       det.PID,
 		Score:     det.Score,
@@ -44,7 +36,6 @@ func (e *Engine) buildAuditBundle(fd firedDetection) *audit.Bundle {
 			EntropyDeltaThreshold: e.cfg.EntropyDeltaThreshold,
 			SimilarityMatchMax:    e.cfg.SimilarityMatchMax,
 			FunnelingThreshold:    e.cfg.FunnelingThreshold,
-			Tier:                  tierName(e.cfg.Tier),
 			NewCipherWithoutDelta: e.cfg.NewCipherWithoutDelta,
 			PayloadBlind:          e.payloadBlind.Load(),
 		},
@@ -52,13 +43,6 @@ func (e *Engine) buildAuditBundle(fd firedDetection) *audit.Bundle {
 			Fingerprint: e.reg.Fingerprint(),
 			Policy:      fmt.Sprintf("%T", e.pol),
 		},
-		Measurement: audit.Measurement{
-			Tier:      tierName(e.cfg.Tier),
-			Escalated: fd.escalated,
-		},
-	}
-	if e.cfg.Tier == TierSampled {
-		b.Engine.SampleBytes = e.sampleN
 	}
 	for _, u := range e.reg.Units() {
 		d := u.Decl()

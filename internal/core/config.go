@@ -25,7 +25,6 @@ package core
 import (
 	"cryptodrop/internal/audit"
 	"cryptodrop/internal/indicator"
-	"cryptodrop/internal/magic"
 	"cryptodrop/internal/measurecache"
 	"cryptodrop/internal/policy"
 	"cryptodrop/internal/telemetry"
@@ -54,29 +53,6 @@ const (
 	// read over types written before funneling is flagged.
 	DefaultFunnelingThreshold = 6
 )
-
-// MeasureTier selects the measurement ladder tier a session scores on.
-type MeasureTier int
-
-const (
-	// TierFull — the default — measures whole files: every transform runs
-	// the full-content kernels (magic sniff, full Shannon, full similarity
-	// digest), the paper's original behaviour.
-	TierFull MeasureTier = iota
-	// TierSampled is the cheap tier of the two-tier scoring ladder: file
-	// measurements read only the leading Config.SampleBytes of content (the
-	// header area, per the Differential Area Analysis observation that most
-	// of the entropy signal lives there) and score on sampled entropy, magic
-	// and a prefix digest. The first indicator that fires for a process
-	// escalates that process to full measurement, so verdicts converge on
-	// anything suspicious while benign bulk traffic pays a fraction of the
-	// read and kernel cost.
-	TierSampled
-)
-
-// DefaultSampleBytes is the cheap tier's header-area sample size. It is
-// comfortably above magic.SniffLen, so sampled type identification is exact.
-const DefaultSampleBytes = 8 << 10
 
 // Points assigns reputation score values to indicator events. Each field's
 // calibrated default is declared by the owning indicator unit
@@ -151,13 +127,6 @@ type Config struct {
 	// and safe to share. Detections, scores and traces are bit-identical
 	// with and without the cache; only the work performed changes.
 	MeasureCache *measurecache.Cache
-	// Tier selects the measurement ladder tier: TierFull (default) or the
-	// cheap sampled tier with per-process escalation. See MeasureTier.
-	Tier MeasureTier
-	// SampleBytes is the cheap tier's header sample size. Zero means
-	// DefaultSampleBytes; values below magic.SniffLen are raised to it so
-	// sampled type identification stays exact. Ignored under TierFull.
-	SampleBytes int
 	// FamilyOf, if set, maps an acting PID to its scoring group (typically
 	// the root ancestor of the process family). All processes in a group
 	// share one scoreboard entry, so malware cannot dilute its score by
@@ -201,21 +170,6 @@ type Config struct {
 	// instance (the host stamps its session ID here). Empty means "engine".
 	// It never affects scoring.
 	SessionID string
-}
-
-// sampleBytes resolves the effective cheap-tier sample size: the configured
-// value, defaulted and clamped so a sample always covers magic.SniffLen —
-// the prefix Identify inspects — keeping sampled type identification exactly
-// equal to full-content identification.
-func (c *Config) sampleBytes() int {
-	n := c.SampleBytes
-	if n <= 0 {
-		n = DefaultSampleBytes
-	}
-	if n < magic.SniffLen {
-		n = magic.SniffLen
-	}
-	return n
 }
 
 // DefaultConfig returns a Config with the paper's parameters, protecting

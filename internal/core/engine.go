@@ -64,8 +64,6 @@ type Engine struct {
 	// memo is the content-hash measurement memo cache (Config.MeasureCache,
 	// possibly shared fleet-wide); nil disables memoization.
 	memo *measurecache.Cache
-	// sampleN is the resolved cheap-tier sample size (Config.sampleBytes).
-	sampleN int
 
 	opIndex atomic.Int64
 
@@ -123,7 +121,6 @@ func New(cfg Config, src ContentSource) *Engine {
 	e.procs.init()
 	e.files.init()
 	e.memo = cfg.MeasureCache
-	e.sampleN = cfg.sampleBytes()
 	e.tel = newEngineTelemetry(cfg.Telemetry, cfg.FlightRecorder, reg)
 	e.spans = cfg.SpanTracer
 	e.lane = cfg.SessionID
@@ -210,21 +207,21 @@ func (e *Engine) PreEvent(ev Event) {
 	switch ev.Kind {
 	case EvOpen:
 		if ev.Flags&EvWriteIntent != 0 && ev.Size > 0 && e.inRoot(ev.Path) {
-			e.snapshot(ev.FileID, e.tierSampled(ev.PID))
+			e.snapshot(ev.FileID)
 		}
 	case EvWrite:
 		// Fallback for handles opened before the engine attached.
 		if ev.Size > 0 && e.inRoot(ev.Path) {
-			e.snapshot(ev.FileID, e.tierSampled(ev.PID))
+			e.snapshot(ev.FileID)
 		}
 	case EvRename:
 		if ev.ReplacedID != 0 && e.inRoot(ev.NewPath) {
-			e.snapshot(ev.ReplacedID, e.tierSampled(ev.PID))
+			e.snapshot(ev.ReplacedID)
 		}
 		if e.inRoot(ev.Path) && !e.inRoot(ev.NewPath) {
 			// The file is leaving the protected tree (Class B move-out):
 			// capture its state so the return trip can be compared.
-			e.snapshot(ev.FileID, e.tierSampled(ev.PID))
+			e.snapshot(ev.FileID)
 		}
 	}
 }
@@ -255,12 +252,8 @@ func (e *Engine) Handle(ev Event) {
 	// reader believes it still holds.
 	var cur *fileState
 	if e.needsContent(&ev) {
-		// The tier decision reads the escalation latch under the lock we
-		// already hold, so a process promoted by its previous operation
-		// measures this one at full fidelity.
-		sampled := e.cfg.Tier == TierSampled && !ps.escalated
 		sh.mu.Unlock()
-		cur = e.measure(ev.FileID, sampled, false)
+		cur = e.measure(ev.FileID, false)
 		sh.mu.Lock()
 	}
 
@@ -305,7 +298,6 @@ type firedDetection struct {
 	det       Detection
 	filesLost int
 	deletes   int
-	escalated bool
 }
 
 // dispatch invokes the detection callback and emits the audit bundle for a

@@ -118,38 +118,6 @@ type ContentSource interface {
 	Content(id uint64) ([]byte, error)
 }
 
-// RangeReader is an optional ContentSource capability: a source that can
-// serve a byte range without materialising the whole file implements it,
-// and the engine's sampled measurement tier uses it to read only the
-// header sample. ContentRange returns the file bytes in [off, off+n) —
-// shorter at end of file, empty when off is at or past it — together with
-// the file's total size.
-type RangeReader interface {
-	ContentRange(id uint64, off, n int64) (data []byte, size int64, err error)
-}
-
-// readRange reads [off, off+n) of the file through src's RangeReader
-// capability when present, falling back to a full Content read sliced down
-// for sources that cannot seek.
-func readRange(src ContentSource, id uint64, off, n int64) ([]byte, int64, error) {
-	if rr, ok := src.(RangeReader); ok {
-		return rr.ContentRange(id, off, n)
-	}
-	content, err := src.Content(id)
-	if err != nil {
-		return nil, 0, err
-	}
-	size := int64(len(content))
-	if off < 0 || off >= size || n <= 0 {
-		return nil, size, nil
-	}
-	end := off + n
-	if end > size {
-		end = size
-	}
-	return content[off:end], size, nil
-}
-
 // noContent is the ContentSource used when New is handed nil: every lookup
 // misses, so content-dependent indicators never fire but the payload-level
 // indicators (entropy delta over reads/writes, deletion, funneling) still

@@ -1,7 +1,6 @@
 package core
 
-// Benchmarks for the PR 6 measurement optimisations: content-hash
-// memoization and the sampled cheap tier. BenchmarkMeasureMemoized isolates
+// Benchmarks for content-hash memoization. BenchmarkMeasureMemoized isolates
 // the per-measurement cost (full kernels vs a warm memo hit);
 // BenchmarkEngineIngestDedupe drives a dedupe-heavy ingest — many protected
 // files sharing identical content, every close re-measuring — through the
@@ -18,14 +17,13 @@ import (
 )
 
 // BenchmarkMeasureMemoized measures one measurement through
-// Engine.measure: mode=plain runs the full-tier kernels (magic + entropy +
-// sdhash) every time; mode=sampled runs them on the sampled tier's header
-// sample only; mode=memoized hashes the full content and resolves the state
-// from a warm memo cache.
+// Engine.measure: mode=plain runs the kernels (magic + entropy + sdhash)
+// every time; mode=memoized hashes the content and resolves the state from
+// a warm memo cache.
 func BenchmarkMeasureMemoized(b *testing.B) {
 	const root = "/Users/victim/Documents"
 	for _, size := range benchSizes {
-		for _, mode := range []string{"plain", "sampled", "memoized"} {
+		for _, mode := range []string{"plain", "memoized"} {
 			b.Run(fmt.Sprintf("size=%dKiB/mode=%s", size>>10, mode), func(b *testing.B) {
 				fs := vfs.New()
 				if err := fs.MkdirAll(root); err != nil {
@@ -44,24 +42,20 @@ func BenchmarkMeasureMemoized(b *testing.B) {
 				h.Close()
 
 				cfg := DefaultConfig(root)
-				switch mode {
-				case "sampled":
-					cfg.Tier = TierSampled
-				case "memoized":
+				if mode == "memoized" {
 					cfg.MeasureCache = measurecache.New(64 << 20)
 				}
-				sampled := mode == "sampled"
 				e := New(cfg, testSource{fs})
 				// Warm: the first measurement fills the cache (memoized mode)
 				// and faults nothing thereafter.
-				if st := e.measure(id, sampled, false); st == nil {
+				if st := e.measure(id, false); st == nil {
 					b.Fatal("nil state")
 				}
 				b.SetBytes(int64(len(content)))
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if st := e.measure(id, sampled, false); st == nil {
+					if st := e.measure(id, false); st == nil {
 						b.Fatal("nil state")
 					}
 				}
@@ -75,10 +69,9 @@ func BenchmarkMeasureMemoized(b *testing.B) {
 // cycling open(write-intent)/close(wrote) over them so every close
 // re-measures the file. mode=plain runs the full kernels per close;
 // mode=memo resolves every measurement after the first from the shared
-// cache (full content still read and hashed); mode=memo_sampled adds the
-// cheap tier, so only the 8 KiB header sample is read and hashed.
+// cache (the content is still read and hashed).
 func BenchmarkEngineIngestDedupe(b *testing.B) {
-	for _, mode := range []string{"plain", "memo", "memo_sampled"} {
+	for _, mode := range []string{"plain", "memo"} {
 		b.Run("mode="+mode, func(b *testing.B) {
 			const root = "/Users/victim/Documents"
 			const nfiles = 64
@@ -104,12 +97,8 @@ func BenchmarkEngineIngestDedupe(b *testing.B) {
 			}
 
 			cfg := DefaultConfig(root)
-			switch mode {
-			case "memo":
+			if mode == "memo" {
 				cfg.MeasureCache = measurecache.New(64 << 20)
-			case "memo_sampled":
-				cfg.MeasureCache = measurecache.New(64 << 20)
-				cfg.Tier = TierSampled
 			}
 			e := New(cfg, testSource{fs})
 			const pid = 1

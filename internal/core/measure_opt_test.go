@@ -12,11 +12,10 @@ import (
 	"cryptodrop/internal/vfs"
 )
 
-// These tests pin the hot-path measurement optimisations: content-hash
-// memoization and the two-tier scoring ladder. The memo promises
+// These tests pin the measurement path: content-hash memoization promises
 // bit-identical verdicts — proven by DeepEqual against a plain engine over
-// the same deterministic workload — while the ladder promises only that
-// escalation converges on anything suspicious.
+// the same deterministic workload — and whole-file measurement scores an
+// attacker that preserves every file's header area.
 
 // encryptionWorkload runs the Class A attack plus a benign edit over a
 // fresh deterministic filesystem under cfg, returning the final scoreboard
@@ -191,17 +190,14 @@ func evasiveEncrypt(t *testing.T, fs *vfs.FS, pid int, p string, keep int64) {
 	}
 }
 
-// TestSampledTierEscalationCatchesEvasiveHeaders drives the two-tier
-// ladder's worst case: an attacker that preserves every file's leading
-// sample area, so sampled measurements alone see an unchanged type, an
-// unchanged header digest and a flat prefix-entropy delta. The
-// tier-independent payload stream still gives it away — reading plaintext
-// while writing ciphertext — and the first such award escalates the process
-// to full measurement, where the file-level entropy jump scores. Detection
-// requires those full-measurement awards: the stream trickle alone could
-// never reach the threshold.
-func TestSampledTierEscalationCatchesEvasiveHeaders(t *testing.T) {
-	const keep = 4096 // == magic.SniffLen, the smallest legal sample
+// TestEvasiveHeaderPreservingAttackDetected drives the header-preserving
+// attack the Differential Area Analysis attack section describes: every
+// file keeps its leading 4 KiB (magic.SniffLen), so the type never changes
+// and a header-area measurement would see nothing. The engine measures
+// whole files, so the file-level entropy jump behind the preserved header
+// still scores and the attack is detected.
+func TestEvasiveHeaderPreservingAttackDetected(t *testing.T) {
+	const keep = 4096 // == magic.SniffLen
 	root := testRoot
 	fs := vfs.New()
 	if err := fs.MkdirAll(root); err != nil {
@@ -216,11 +212,8 @@ func TestSampledTierEscalationCatchesEvasiveHeaders(t *testing.T) {
 		}
 	}
 
-	reg := telemetry.NewRegistry()
 	cfg := DefaultConfig(root)
-	cfg.Tier = TierSampled
-	cfg.SampleBytes = keep
-	cfg.Telemetry = reg
+	cfg.FlightRecorder = telemetry.NewFlightRecorder(telemetry.DefaultFlightCapacity)
 	var detections []Detection
 	cfg.OnDetection = func(d Detection) { detections = append(detections, d) }
 	eng := New(cfg, testSource{fs})
@@ -240,50 +233,24 @@ func TestSampledTierEscalationCatchesEvasiveHeaders(t *testing.T) {
 		encrypted++
 	}
 	if len(detections) == 0 {
-		t.Fatalf("evasive header-preserving attack not detected after %d files under the sampled tier", encrypted)
+		t.Fatalf("evasive header-preserving attack not detected after %d files", encrypted)
 	}
 	rep, ok := eng.Report(pid)
 	if !ok || !rep.Detected {
 		t.Fatal("report does not show the detection")
 	}
-	if !rep.Escalated {
-		t.Fatal("detected process was never escalated to full measurement")
-	}
-	if got := reg.Counter("engine_tier_escalations_total").Value(); got != 1 {
-		t.Fatalf("engine_tier_escalations_total = %d, want 1", got)
-	}
 	// The type never changes (headers preserved), so the detection must be
-	// carried by entropy evidence gathered at the full tier.
+	// carried by whole-file evidence such as the file-level entropy jump.
 	if rep.IndicatorPoints[IndicatorTypeChange] != 0 {
 		t.Fatalf("type-change fired for header-preserving rewrites: %+v", rep.IndicatorPoints)
 	}
-	if rep.IndicatorPoints[IndicatorEntropyDelta] < DefaultPoints().EntropyDeltaFile {
-		t.Fatalf("no file-level entropy award — full measurement never engaged: %+v", rep.IndicatorPoints)
+	fileAwards := 0
+	for _, ev := range cfg.FlightRecorder.Trace(pid).Events {
+		if ev.IndicatorID == int(IndicatorEntropyDelta) && ev.Points == DefaultPoints().EntropyDeltaFile {
+			fileAwards++
+		}
 	}
-
-	// A benign process on the same session stays unescalated: escalation is
-	// per process, not per engine.
-	if benignRep, ok := eng.Report(0); ok && benignRep.Escalated {
-		t.Fatal("corpus-seeding process escalated without any indicator firing")
-	}
-}
-
-// TestSampledTierFullEquivalenceWhenDisabled pins that leaving the ladder
-// off (the default TierFull) with the new knobs at their zero values is the
-// exact seed engine: the config plumbing itself must not perturb verdicts.
-func TestSampledTierFullEquivalenceWhenDisabled(t *testing.T) {
-	base := DefaultConfig(testRoot)
-	wantReports, wantDets := encryptionWorkload(t, base)
-
-	cfg := base
-	cfg.Tier = TierFull
-	cfg.SampleBytes = 4096 // ignored under TierFull
-	gotReports, gotDets := encryptionWorkload(t, cfg)
-	if !reflect.DeepEqual(wantReports, gotReports) {
-		t.Fatalf("TierFull with SampleBytes set diverges from default:\n want: %+v\n got:  %+v",
-			wantReports, gotReports)
-	}
-	if !reflect.DeepEqual(wantDets, gotDets) {
-		t.Fatalf("TierFull detections diverge:\n want: %+v\n got:  %+v", wantDets, gotDets)
+	if fileAwards == 0 {
+		t.Fatalf("no file-level entropy award: %+v", rep.IndicatorPoints)
 	}
 }

@@ -17,15 +17,10 @@ import (
 // the registry's declared feature needs — when no registered unit consumes
 // FeatContent, the engine never calls the ContentSource at all.
 //
-// A measurement has one path: read the content with no engine lock held,
-// look it up in the memo, and run the kernels inline on a miss. Two
-// optimisations can shortcut the kernels, neither of which changes any
-// verdict:
-//
-//   - the measurement memo cache (Config.MeasureCache) resolves content
-//     already measured anywhere in the fleet by hash lookup;
-//   - the sampled tier (Config.Tier = TierSampled) reads and measures only
-//     the file's header area until the process earns escalation.
+// A measurement has one path: read the whole content with no engine lock
+// held, look it up in the memo cache (Config.MeasureCache), and run the
+// kernels inline on a miss. The memo never changes a verdict; it only
+// resolves content already measured anywhere in the fleet by hash lookup.
 
 // measureFile computes the cached state for content.
 func measureFile(content []byte) *fileState {
@@ -40,45 +35,6 @@ func measureFile(content []byte) *fileState {
 	return st
 }
 
-// measureSampled computes the cheap-tier state from the file's leading
-// sample: exact magic identification (the sample always covers
-// magic.SniffLen), prefix entropy and a prefix similarity digest. size is
-// the file's full size.
-func measureSampled(sample []byte, fullSize int64) *fileState {
-	st := &fileState{
-		typ:     magic.Identify(sample),
-		size:    fullSize,
-		entropy: entropy.Shannon(sample),
-		sampled: true,
-	}
-	st.sampleEntropy = st.entropy
-	if d, err := sdhash.Compute(sample); err == nil {
-		st.digest = d
-	}
-	return st
-}
-
-// Memo-key mode flags: the measurement flavour is part of the cache key, so
-// a sampled-tier state can never be served to a full-tier measurement (or
-// across different sample sizes). The sample size occupies the high bits.
-const (
-	memoFull       uint32 = 0 // plain full-content measurement
-	memoFullPrefix uint32 = 1 // full content + recorded prefix entropy
-	memoSampled    uint32 = 2 // prefix-only cheap-tier measurement
-)
-
-// memoMode returns the memo key mode for a measurement at the given tier
-// under this engine's configuration.
-func (e *Engine) memoMode(sampled bool) uint32 {
-	if sampled {
-		return memoSampled | uint32(e.sampleN)<<2
-	}
-	if e.cfg.Tier == TierSampled {
-		return memoFullPrefix | uint32(e.sampleN)<<2
-	}
-	return memoFull
-}
-
 // stateCost estimates the resident bytes of a memoized state for the
 // cache's byte accounting: the struct itself plus the digest's filters.
 func stateCost(st *fileState) int64 {
@@ -89,33 +45,9 @@ func stateCost(st *fileState) int64 {
 	return cost
 }
 
-// measureSpec is one prepared measurement: the captured content (or header
-// sample), its tier flavour and the memo key to fill on completion.
-type measureSpec struct {
-	content  []byte
-	fullSize int64 // sampled mode: the file's total size
-	sampled  bool
-	// memoKey is filled into the memo cache after the kernels run.
-	memoKey measurecache.Key
-	useMemo bool
-}
-
-// spanDetail names the measurement flavour for a causal span: the ladder
-// tier and whether the result feeds the memo cache.
-func (sp *measureSpec) spanDetail() string {
-	d := "tier=full"
-	if sp.sampled {
-		d = "tier=sampled"
-	}
-	if sp.useMemo {
-		d += " memo=store"
-	}
-	return d
-}
-
-// runMeasure runs the kernels over a prepared measurement and fills the
+// runMeasure runs the kernels over content and, when key is set, fills the
 // memo on the way out.
-func (e *Engine) runMeasure(sp measureSpec) *fileState {
+func (e *Engine) runMeasure(content []byte, key *measurecache.Key) *fileState {
 	if tl := e.tel; tl != nil {
 		t0 := time.Now()
 		defer func() { tl.measureLat.ObserveDuration(time.Since(t0)) }()
@@ -124,81 +56,51 @@ func (e *Engine) runMeasure(sp measureSpec) *fileState {
 	// PreEvent snapshot belongs to no scored operation.
 	if e.spans.Sample() {
 		t0 := time.Now()
+		detail := ""
+		if key != nil {
+			detail = "memo=store"
+		}
 		defer func() {
 			e.spans.Record(telemetry.Span{
-				Name: "measure", Cat: "measure", Lane: e.lane, Detail: sp.spanDetail(),
+				Name: "measure", Cat: "measure", Lane: e.lane, Detail: detail,
 			}, t0, time.Since(t0))
 		}()
 	}
-	var st *fileState
-	if sp.sampled {
-		st = measureSampled(sp.content, sp.fullSize)
-	} else {
-		st = measureFile(sp.content)
-		if e.cfg.Tier == TierSampled {
-			// Full measurements in a sampled-tier session also record the
-			// header-area entropy, so deltas against sampled previous
-			// versions compare prefix against prefix.
-			n := min(e.sampleN, len(sp.content))
-			st.sampleEntropy = entropy.Shannon(sp.content[:n])
-		}
-	}
-	if sp.useMemo {
-		e.memo.Put(sp.memoKey, st, stateCost(st))
+	st := measureFile(content)
+	if key != nil {
+		e.memo.Put(*key, st, stateCost(st))
 	}
 	return st
 }
 
-// measure reads the file's content at the requested tier and measures it:
-// memo cache first, then the kernels inline. The caller holds no engine
-// lock. It returns nil when the content cannot be read (counted in
-// telemetry — a read failure is not "empty content", e.g. the file was
-// deleted in the window since the operation completed) or when skipEmpty
-// is set and the file is empty.
-func (e *Engine) measure(id uint64, sampled, skipEmpty bool) *fileState {
-	var sp measureSpec
-	if sampled {
-		data, size, err := readRange(e.src, id, 0, int64(e.sampleN))
-		if err != nil {
-			e.tel.readFailed()
-			return nil
-		}
-		sp = measureSpec{content: data, fullSize: size, sampled: true}
-	} else {
-		content, err := e.src.Content(id)
-		if err != nil {
-			e.tel.readFailed()
-			return nil
-		}
-		sp = measureSpec{content: content, fullSize: int64(len(content))}
-	}
-	if skipEmpty && len(sp.content) == 0 {
+// measure reads the file's whole content and measures it: memo cache
+// first, then the kernels inline. The caller holds no engine lock. It
+// returns nil when the content cannot be read (counted in telemetry — a
+// read failure is not "empty content", e.g. the file was deleted in the
+// window since the operation completed) or when skipEmpty is set and the
+// file is empty.
+func (e *Engine) measure(id uint64, skipEmpty bool) *fileState {
+	content, err := e.src.Content(id)
+	if err != nil {
+		e.tel.readFailed()
 		return nil
 	}
-	if e.memo != nil {
-		// A sampled key must also discriminate the full size: two files may
-		// share a header sample yet differ in length, and size participates
-		// in digest-reliability verdicts.
-		if sampled {
-			sp.memoKey = measurecache.KeyOfSeeded(sp.content, uint64(sp.fullSize), e.memoMode(true))
-		} else {
-			sp.memoKey = measurecache.KeyOf(sp.content, e.memoMode(false))
-		}
-		if v, ok := e.memo.Get(sp.memoKey); ok {
-			if e.spans.Sample() {
-				detail := "memo=hit tier=full"
-				if sampled {
-					detail = "memo=hit tier=sampled"
-				}
-				e.spans.Record(telemetry.Span{
-					Name: "measure", Cat: "measure", Lane: e.lane, Detail: detail,
-				}, time.Now(), 0)
-			}
-			return v.(*fileState)
-		}
-		sp.useMemo = true
+	if skipEmpty && len(content) == 0 {
+		return nil
 	}
-	return e.runMeasure(sp)
+	if e.memo == nil {
+		return e.runMeasure(content, nil)
+	}
+	key := measurecache.KeyOf(content)
+	if v, ok := e.memo.Get(key); ok {
+		if e.spans.Sample() {
+			e.spans.Record(telemetry.Span{
+				Name: "measure", Cat: "measure", Lane: e.lane, Detail: "memo=hit",
+			}, time.Now(), 0)
+		}
+		return v.(*fileState)
+	}
+	return e.runMeasure(content, &key)
 }
 
 // wantContent reports whether any registered unit consumes measured file
@@ -208,11 +110,11 @@ func (e *Engine) wantContent() bool { return e.feats.Has(indicator.FeatContent) 
 // snapshot caches the current content state of the file with the given ID
 // if not already cached. The content read and measurement run without any
 // engine lock held.
-func (e *Engine) snapshot(id uint64, sampled bool) {
+func (e *Engine) snapshot(id uint64) {
 	if e.files.has(id) {
 		return
 	}
-	if st := e.measure(id, sampled, true); st != nil {
+	if st := e.measure(id, true); st != nil {
 		e.files.storeIfMissing(id, st)
 	}
 }
@@ -232,27 +134,6 @@ func (e *Engine) needsContent(ev *Event) bool {
 		return e.inRoot(ev.NewPath) && (ev.ReplacedID != 0 || e.files.has(ev.FileID))
 	}
 	return false
-}
-
-// escalated reports whether pid's scoring group has been promoted to full
-// measurement, without creating a scoreboard entry.
-func (e *Engine) escalated(pid int) bool {
-	if e.cfg.FamilyOf != nil {
-		pid = e.cfg.FamilyOf(pid)
-	}
-	sh := e.procs.shard(pid)
-	sh.mu.Lock()
-	ps := sh.m[pid]
-	esc := ps != nil && ps.escalated
-	sh.mu.Unlock()
-	return esc
-}
-
-// tierSampled reports whether pid's next measurement should use the cheap
-// sampled tier: the session runs the ladder and the process has not yet
-// earned escalation.
-func (e *Engine) tierSampled(pid int) bool {
-	return e.cfg.Tier == TierSampled && !e.escalated(pid)
 }
 
 // minReliableFeatures is the feature count above which a digest is always

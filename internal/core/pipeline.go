@@ -87,14 +87,6 @@ func (e *Engine) award(ps *procState, id indicator.ID, pts float64, opIdx int64,
 			Detail: fmt.Sprintf("points=%g score=%g", pts, ps.score),
 		}, time.Now(), 0)
 	}
-	if e.cfg.Tier == TierSampled && !ps.escalated {
-		// The two-tier ladder's promotion rule: the first indicator that
-		// fires for a process escalates it to full measurement, so every
-		// subsequent transform by a process under suspicion is scored at
-		// full fidelity.
-		ps.escalated = true
-		e.tel.escalatedTier()
-	}
 	e.pol.AfterAward(&ps.ctx)
 }
 
@@ -139,7 +131,6 @@ func (e *Engine) checkDetection(ps *procState, opIdx int64) (firedDetection, boo
 		det:       det,
 		filesLost: ps.filesTransformed,
 		deletes:   ps.deletes,
-		escalated: ps.escalated,
 	}, true
 }
 
@@ -188,16 +179,10 @@ func (c *evalCtx) Dissimilar() bool {
 }
 
 // FileEntropyDelta implements indicator.Context. Outside transform scope
-// there is no delta; -Inf keeps any >= threshold comparison false. When
-// either side of a transform was measured at the sampled tier, the delta
-// compares prefix entropy against prefix entropy — like with like — rather
-// than mixing a header sample with a whole-file value.
+// there is no delta; -Inf keeps any >= threshold comparison false.
 func (c *evalCtx) FileEntropyDelta() float64 {
 	if c.m.prev == nil || c.m.newState == nil {
 		return math.Inf(-1)
-	}
-	if c.m.prev.sampled || c.m.newState.sampled {
-		return c.m.newState.prefixEntropy() - c.m.prev.prefixEntropy()
 	}
 	return c.m.newState.entropy - c.m.prev.entropy
 }

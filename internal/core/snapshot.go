@@ -41,8 +41,10 @@ import (
 // the payload layout changes; restore refuses other versions with a typed
 // error wrapping snapshot.ErrVersion. Version 2 dropped version 1's
 // per-file incremental-entropy tracker section; version 3 dropped the
-// per-mean weighting flag, which the indicator registry now decides.
-const engineSnapshotVersion = 3
+// per-mean weighting flag, which the indicator registry now decides;
+// version 4 dropped the sampled measurement tier's per-process escalation
+// latch and per-file prefix-entropy fields.
+const engineSnapshotVersion = 4
 
 // The durable-session sentinels, re-exported from internal/snapshot under
 // the names the facade exposes.
@@ -57,7 +59,7 @@ var (
 	ErrSnapshotCorrupt = snapshot.ErrCorrupt
 )
 
-// configHash returns a stable fingerprint ("cfg2-…") of the scoring-relevant
+// configHash returns a stable fingerprint ("cfg3-…") of the scoring-relevant
 // engine configuration: the fields that change what verdict an event stream
 // produces, including the detection policy's type and field values.
 // Performance and observability knobs (MeasureCache, Telemetry,
@@ -71,20 +73,20 @@ func (e *Engine) configHash() string {
 	c := &e.cfg
 	h := fnv.New64a()
 	fmt.Fprintf(h,
-		"root=%s nonunion=%x union=%x edelta=%x simmax=%d funnel=%d points=%+v nocipherdelta=%t tier=%d sample=%d policy=%T%+v",
+		"root=%s nonunion=%x union=%x edelta=%x simmax=%d funnel=%d points=%+v nocipherdelta=%t policy=%T%+v",
 		c.ProtectedRoot,
 		math.Float64bits(c.NonUnionThreshold), math.Float64bits(c.UnionThreshold), math.Float64bits(c.EntropyDeltaThreshold),
 		c.SimilarityMatchMax, c.FunnelingThreshold, c.Points, c.NewCipherWithoutDelta,
-		c.Tier, e.sampleN, e.pol, e.pol,
+		e.pol, e.pol,
 	)
-	return fmt.Sprintf("cfg2-%016x", h.Sum64())
+	return fmt.Sprintf("cfg3-%016x", h.Sum64())
 }
 
 // SnapshotIdentity returns the envelope identity every snapshot of this
 // engine is sealed with and restore expects: the engine snapshot format
 // version, the indicator-registry fingerprint ("reg1-…", the same
 // canonical identity the audit bundles carry) and the scoring-config hash
-// ("cfg2-…"). Hosts fold the version into their own envelope versions and
+// ("cfg3-…"). Hosts fold the version into their own envelope versions and
 // embed the fingerprints, so a checkpoint is refused at open time, before
 // engine state is decoded.
 func (e *Engine) SnapshotIdentity() snapshot.Header {
@@ -292,7 +294,6 @@ func (e *Engine) encodeProcs(enc *snapshot.Encoder) {
 		encodeStringSet(enc, ps.typesWritten)
 		enc.Bool(ps.unionFired)
 		enc.Bool(ps.detected)
-		enc.Bool(ps.escalated)
 		enc.Varint(int64(ps.deletes))
 		enc.Varint(int64(ps.filesTransformed))
 		// extsTouched preserves first-touch order; extSeen is derived on
@@ -327,7 +328,6 @@ func (e *Engine) decodeProcs(d *snapshot.Decoder) []*procState {
 		ps.typesWritten = decodeStringSet(d)
 		ps.unionFired = d.Bool()
 		ps.detected = d.Bool()
-		ps.escalated = d.Bool()
 		ps.deletes = int(d.Varint())
 		ps.filesTransformed = int(d.Varint())
 		for j, m := 0, d.Count(); j < m; j++ {
@@ -393,8 +393,6 @@ func (e *Engine) encodeFiles(enc *snapshot.Encoder) error {
 		}
 		enc.Varint(st.size)
 		enc.F64(st.entropy)
-		enc.Bool(st.sampled)
-		enc.F64(st.sampleEntropy)
 	}
 
 	enc.Uvarint(uint64(len(creatorIDs)))
@@ -430,8 +428,6 @@ func decodeFiles(d *snapshot.Decoder) (states map[uint64]*fileState, creators ma
 		}
 		st.size = d.Varint()
 		st.entropy = d.F64()
-		st.sampled = d.Bool()
-		st.sampleEntropy = d.F64()
 		if d.Err() != nil {
 			return nil, nil
 		}

@@ -93,17 +93,15 @@ func TestEngineSnapshotRoundTripMidStream(t *testing.T) {
 }
 
 // TestEngineSnapshotRoundTripOptimisedModes repeats the mid-stream
-// round trip under the opt-in sampled measurement tier, whose escalation
-// latches are extra per-process snapshot state, and under the byte-weighted
-// entropy ablation, whose weighting the snapshot does not carry: the
-// restoring engine takes it from its own registry.
+// round trip under the byte-weighted entropy ablation, whose weighting the
+// snapshot does not carry: the restoring engine takes it from its own
+// registry.
 func TestEngineSnapshotRoundTripOptimisedModes(t *testing.T) {
 	const pid = 501
 	for _, mode := range []struct {
 		name string
 		mut  func(*Config)
 	}{
-		{"sampled-tier", func(c *Config) { c.Tier = TierSampled }},
 		{"byte-weighted-entropy", func(c *Config) {
 			c.Indicators = indicator.Default().With(indicator.ByteWeightedEntropyDelta())
 		}},
@@ -199,21 +197,27 @@ func TestEngineRestoreMismatch(t *testing.T) {
 		t.Fatalf("registry drift: got %v, want registry-field mismatch", err)
 	}
 
-	// Version skew → ErrVersion, before any state is installed. Versions 1
-	// and 2 are retired layouts (1 still carried the incremental-entropy
-	// tracker section, 2 a weighting flag per entropy mean); they are
-	// refused as format versions, not as damage.
+	// Version skew → ErrVersion, before any state is installed. Versions
+	// 1–3 are retired layouts (1 still carried the incremental-entropy
+	// tracker section, 2 a weighting flag per entropy mean, 3 the sampled
+	// tier's escalation latch and prefix-entropy fields); they are refused
+	// as format versions, not as damage. A version-3 checkpoint also
+	// carries the older "cfg2-" config hash, and is still refused by its
+	// version, not as config drift.
 	id := eng.SnapshotIdentity()
 	same := New(cfg, testSource{fs})
 	_, payload, err := snapshot.Open(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range []uint64{1, 2, 99} {
+	for _, v := range []uint64{1, 2, 3, 99} {
 		id.Version = v
+		if v == 3 {
+			id.Config = "cfg2-0123456789abcdef"
+		}
 		skewed := snapshot.Seal(id, payload)
 		err := same.Restore(skewed)
-		if !errors.Is(err, snapshot.ErrVersion) || errors.Is(err, ErrSnapshotCorrupt) {
+		if !errors.Is(err, snapshot.ErrVersion) || errors.Is(err, ErrSnapshotCorrupt) || errors.Is(err, ErrSnapshotMismatch) {
 			t.Fatalf("version %d: got %v, want ErrVersion only", v, err)
 		}
 		if got := same.Reports(); len(got) != 0 {

@@ -16,25 +16,6 @@ type fileState struct {
 	digest  *sdhash.Digest // nil when the content could not be digested
 	size    int64
 	entropy float64
-	// sampled marks a cheap-tier state measured from only the file's leading
-	// sample area: typ, digest and entropy then describe that prefix, while
-	// size is still the full file size.
-	sampled bool
-	// sampleEntropy is the entropy of the leading sample area, recorded on
-	// full measurements in sampled-tier sessions so entropy deltas against
-	// sampled states compare like with like. Unset (zero) in full-tier
-	// sessions, where it is never consulted.
-	sampleEntropy float64
-}
-
-// prefixEntropy returns the entropy of the state's header sample area: the
-// whole measurement for a sampled state, the recorded prefix entropy for a
-// full state measured in a sampled-tier session.
-func (st *fileState) prefixEntropy() float64 {
-	if st.sampled {
-		return st.entropy
-	}
-	return st.sampleEntropy
 }
 
 // procState is the per-process scoreboard entry.
@@ -55,10 +36,6 @@ type procState struct {
 	unionFired bool
 	// detected records that OnDetection already ran for this process.
 	detected bool
-	// escalated records that, under the sampled measurement tier, this
-	// process has been promoted to full measurement (first indicator
-	// firing). Always false under TierFull.
-	escalated bool
 	// deletes counts protected files removed.
 	deletes int
 	// filesTransformed counts protected files whose rewrite completed.
@@ -129,9 +106,6 @@ type ProcessReport struct {
 	Union bool
 	// Detected reports whether the process crossed its threshold.
 	Detected bool
-	// Escalated reports whether the sampled measurement tier promoted the
-	// process to full measurement. Always false under TierFull.
-	Escalated bool
 	// IndicatorsSeen lists indicators observed at least once, sorted.
 	IndicatorsSeen []Indicator
 	// IndicatorPoints are per-indicator score totals.
@@ -157,7 +131,6 @@ func (ps *procState) report() ProcessReport {
 		Score:            ps.score,
 		Union:            ps.unionFired,
 		Detected:         ps.detected,
-		Escalated:        ps.escalated,
 		IndicatorPoints:  make(map[Indicator]float64, len(ps.indicatorPoints)),
 		ReadEntropyMean:  ps.delta.ReadMean(),
 		WriteEntropyMean: ps.delta.WriteMean(),

@@ -34,8 +34,6 @@ type engineTelemetry struct {
 	// A failed read is not "empty content": it aborts the measurement, and
 	// this counter is what distinguishes the two after the fact.
 	readFails *telemetry.Counter
-	// escalations counts sampled-tier processes promoted to full measurement.
-	escalations *telemetry.Counter
 	// auditBundles counts detection audit bundles emitted to the sink.
 	auditBundles *telemetry.Counter
 	// recorder captures per-group indicator firings for post-hoc
@@ -73,7 +71,6 @@ func newEngineTelemetry(reg *telemetry.Registry, fr *telemetry.FlightRecorder, i
 	t.measureLat = reg.Histogram("engine_measure_seconds", telemetry.DefaultLatencyBuckets())
 	t.lockWait = reg.Histogram("engine_proc_shard_lock_wait_seconds", telemetry.DefaultLatencyBuckets())
 	t.readFails = reg.Counter("engine_content_read_failures_total")
-	t.escalations = reg.Counter("engine_tier_escalations_total")
 	t.auditBundles = reg.Counter("engine_audit_bundles_total")
 	return t
 }
@@ -160,13 +157,4 @@ func (t *engineTelemetry) auditEmitted() {
 		return
 	}
 	t.auditBundles.Inc()
-}
-
-// escalatedTier counts one sampled-tier process promoted to full
-// measurement; proc-shard lock held.
-func (t *engineTelemetry) escalatedTier() {
-	if t == nil {
-		return
-	}
-	t.escalations.Inc()
 }

@@ -434,11 +434,34 @@ func TestRestoreIdentityMismatch(t *testing.T) {
 		t.Fatalf("drifted restore: got %v, want ErrSnapshotMismatch", err)
 	}
 
+	// refused writes blob as the checkpoint and requires the restore to be
+	// refused as a format version — not as damage, not as configuration
+	// drift — with nothing installed: no session registered, the
+	// checkpoint left as it was for an operator to inspect.
+	ckpt, _ := checkpointPaths(dir, "v")
+	refused := func(label string, blob []byte) {
+		t.Helper()
+		if err := os.WriteFile(ckpt, blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		h3 := New(Config{CheckpointDir: dir, Restore: true})
+		_, err := h3.Open("v", SessionConfig{Engine: core.DefaultConfig("/docs"), Direct: true})
+		if !errors.Is(err, snapshot.ErrVersion) || errors.Is(err, snapshot.ErrCorrupt) || errors.Is(err, snapshot.ErrMismatch) {
+			t.Fatalf("%s: got %v, want ErrVersion and neither ErrCorrupt nor ErrMismatch", label, err)
+		}
+		if ids := h3.Sessions(); len(ids) != 0 {
+			t.Fatalf("%s: refused restore registered sessions %v", label, ids)
+		}
+		if after, err := os.ReadFile(ckpt); err != nil || !bytes.Equal(after, blob) {
+			t.Fatalf("%s: refused restore rewrote the checkpoint (err %v)", label, err)
+		}
+	}
+
 	// Reseal the embedded engine snapshot as each retired engine layout —
 	// version 1 still carried the incremental-entropy tracker section,
-	// version 2 a weighting flag per entropy mean — inside an otherwise
-	// valid checkpoint.
-	ckpt, _ := checkpointPaths(dir, "v")
+	// version 2 a weighting flag per entropy mean, version 3 the sampled
+	// tier's escalation latch and prefix-entropy fields — inside an
+	// otherwise valid checkpoint.
 	data, err := os.ReadFile(ckpt)
 	if err != nil {
 		t.Fatal(err)
@@ -451,27 +474,18 @@ func TestRestoreIdentityMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range []uint64{1, 2} {
+	for _, v := range []uint64{1, 2, 3} {
 		eh.Version = v
 		c.engine = snapshot.Seal(eh, payload)
-		skewed := encodeCheckpoint(s1.checkpointIdentity(), c)
-		if err := os.WriteFile(ckpt, skewed, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		h3 := New(Config{CheckpointDir: dir, Restore: true})
-		_, err = h3.Open("v", SessionConfig{Engine: core.DefaultConfig("/docs"), Direct: true})
-		if !errors.Is(err, snapshot.ErrVersion) || errors.Is(err, snapshot.ErrCorrupt) {
-			t.Fatalf("v%d engine snapshot: got %v, want ErrVersion and not ErrCorrupt", v, err)
-		}
-		// Nothing was installed: no session registered, the checkpoint left
-		// as it was for an operator to inspect.
-		if ids := h3.Sessions(); len(ids) != 0 {
-			t.Fatalf("v%d: refused restore registered sessions %v", v, ids)
-		}
-		if after, err := os.ReadFile(ckpt); err != nil || !bytes.Equal(after, skewed) {
-			t.Fatalf("v%d: refused restore rewrote the checkpoint (err %v)", v, err)
-		}
+		refused(fmt.Sprintf("v%d engine snapshot", v), encodeCheckpoint(s1.checkpointIdentity(), c))
 	}
+
+	// A checkpoint as the previous build sealed it: host format 2 around a
+	// version-3 engine snapshot, both under that build's "cfg2-" config
+	// hash. Its version refuses it, not the config-hash change.
+	prev := snapshot.Header{Version: 3, Registry: eh.Registry, Config: "cfg2-0123456789abcdef"}
+	c.engine = snapshot.Seal(prev, payload)
+	refused("previous-build checkpoint", encodeCheckpoint(prev.Wrap(hostSnapshotVersion), c))
 
 	// A checkpoint sealed the old way: the envelope carried host format
 	// version 1 alone, around a version-2 engine snapshot, under the
@@ -481,21 +495,7 @@ func TestRestoreIdentityMismatch(t *testing.T) {
 	c.engine = snapshot.Seal(eh, payload)
 	id := s1.checkpointIdentity()
 	for _, cfg := range []string{id.Config, "cfg1-0123456789abcdef"} {
-		old := encodeCheckpoint(snapshot.Header{Version: 1, Registry: id.Registry, Config: cfg}, c)
-		if err := os.WriteFile(ckpt, old, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		h3 := New(Config{CheckpointDir: dir, Restore: true})
-		_, err = h3.Open("v", SessionConfig{Engine: core.DefaultConfig("/docs"), Direct: true})
-		if !errors.Is(err, snapshot.ErrVersion) || errors.Is(err, snapshot.ErrMismatch) {
-			t.Fatalf("old-way checkpoint (%s): got %v, want ErrVersion and not ErrMismatch", cfg, err)
-		}
-		if ids := h3.Sessions(); len(ids) != 0 {
-			t.Fatalf("old-way checkpoint (%s): refused restore registered sessions %v", cfg, ids)
-		}
-		if after, err := os.ReadFile(ckpt); err != nil || !bytes.Equal(after, old) {
-			t.Fatalf("old-way checkpoint (%s): refused restore rewrote the checkpoint (err %v)", cfg, err)
-		}
+		refused("old-way checkpoint ("+cfg+")", encodeCheckpoint(snapshot.Header{Version: 1, Registry: id.Registry, Config: cfg}, c))
 	}
 }
 

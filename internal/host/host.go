@@ -102,8 +102,7 @@ type Config struct {
 	// its own cache, bounded to 16 MiB; pass one cache to several hosts to
 	// share it between them. Memoization is always on: sharing never
 	// changes verdicts, because cached states are immutable and keyed by
-	// content plus measurement flavour. A tenant can observe another's hit
-	// only as verdict latency.
+	// content. A tenant can observe another's hit only as verdict latency.
 	MeasureCache *measurecache.Cache
 	// Telemetry, when set, receives the host gauges and counters:
 	//

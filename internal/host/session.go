@@ -838,34 +838,6 @@ func (o *overlaySource) Content(id uint64) ([]byte, error) {
 	return nil, fmt.Errorf("host: no staged content for file %d", id)
 }
 
-// ContentRange implements core.RangeReader: a staged snapshot serves the
-// requested slice directly; misses forward to the fallback's own range
-// capability when it has one, or fall back to a full read sliced down.
-func (o *overlaySource) ContentRange(id uint64, off, n int64) ([]byte, int64, error) {
-	o.mu.RLock()
-	b, ok := o.m[id]
-	o.mu.RUnlock()
-	if !ok {
-		if rr, isRange := o.fallback.(core.RangeReader); isRange {
-			return rr.ContentRange(id, off, n)
-		}
-		var err error
-		b, err = o.Content(id)
-		if err != nil {
-			return nil, 0, err
-		}
-	}
-	size := int64(len(b))
-	if off < 0 || off >= size || n <= 0 {
-		return nil, size, nil
-	}
-	end := off + n
-	if end > size {
-		end = size
-	}
-	return b[off:end], size, nil
-}
-
 func (o *overlaySource) install(m map[uint64][]byte) {
 	if len(m) == 0 {
 		return

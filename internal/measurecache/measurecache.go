@@ -9,14 +9,12 @@
 //
 // Entries are keyed by content, not by file identity: two keyed 64-bit
 // hash/maphash sums over the full content, under two seeds drawn once per
-// process, plus the content length and a caller-chosen mode tag. The cache
-// does not retain content for full equality verification — see Key for the
-// collision tradeoff.
+// process, plus the content length. The cache does not retain content for
+// full equality verification — see Key for the collision tradeoff.
 package measurecache
 
 import (
 	"container/list"
-	"encoding/binary"
 	"hash/maphash"
 	"sync"
 	"sync/atomic"
@@ -35,42 +33,17 @@ import (
 // would let crafted content aim for a collision. The seeds are random per
 // process and never leave it: keys are not persisted, so nothing depends on
 // them being stable across restarts.
-//
-// Mode partitions the key space by measurement flavour (full vs sampled
-// tiers, prefix lengths), so a sampled-tier measurement can never be served
-// to a full-tier session.
 type Key struct {
 	h1, h2 uint64
 	len    int
-	mode   uint32
 }
 
 // seed1 and seed2 key the two sums; drawn once per process.
 var seed1, seed2 = maphash.MakeSeed(), maphash.MakeSeed()
 
-// KeyOf computes the cache key for content under the given mode tag.
-func KeyOf(content []byte, mode uint32) Key {
-	return Key{h1: maphash.Bytes(seed1, content), h2: maphash.Bytes(seed2, content), len: len(content), mode: mode}
-}
-
-// KeyOfSeeded computes the cache key for content with an extra value hashed
-// ahead of it. Callers use it when the hashed bytes alone do not determine
-// the cached value — e.g. a header-sample measurement also depends on the
-// file's full size, which extra carries into the key.
-func KeyOfSeeded(content []byte, extra uint64, mode uint32) Key {
-	return Key{h1: sumWith(seed1, extra, content), h2: sumWith(seed2, extra, content), len: len(content), mode: mode}
-}
-
-// sumWith is the maphash sum of extra's eight little-endian bytes followed
-// by content.
-func sumWith(seed maphash.Seed, extra uint64, content []byte) uint64 {
-	var h maphash.Hash
-	h.SetSeed(seed)
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], extra)
-	h.Write(b[:])
-	h.Write(content)
-	return h.Sum64()
+// KeyOf computes the cache key for content.
+func KeyOf(content []byte) Key {
+	return Key{h1: maphash.Bytes(seed1, content), h2: maphash.Bytes(seed2, content), len: len(content)}
 }
 
 // shardCount is the number of independently locked cache shards (power of

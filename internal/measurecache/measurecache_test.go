@@ -7,54 +7,31 @@ import (
 	"testing"
 )
 
-// TestKeyOfDiscriminates pins that content, length and mode all participate
-// in the key: every single-bit flip of a 4 KiB content, a length change and
-// a mode change each give a distinct key, and equal input gives equal keys.
+// TestKeyOfDiscriminates pins that content and length both participate in
+// the key: every single-bit flip of a 4 KiB content and a length change
+// each give a distinct key, and equal input gives equal keys.
 func TestKeyOfDiscriminates(t *testing.T) {
 	content := make([]byte, 4<<10)
 	rand.New(rand.NewSource(1)).Read(content)
-	base := KeyOf(content, 0)
-	if again := KeyOf(append([]byte(nil), content...), 0); again != base {
+	base := KeyOf(content)
+	if again := KeyOf(append([]byte(nil), content...)); again != base {
 		t.Fatal("identical input produced different keys")
 	}
 	seen := map[Key]int{base: -1}
 	for bit := 0; bit < len(content)*8; bit++ {
 		content[bit/8] ^= 1 << (bit % 8)
-		k := KeyOf(content, 0)
+		k := KeyOf(content)
 		content[bit/8] ^= 1 << (bit % 8)
 		if prev, dup := seen[k]; dup {
 			t.Fatalf("flipping bit %d gives the key of flip %d", bit, prev)
 		}
 		seen[k] = bit
 	}
-	if k := KeyOf(content[:len(content)-1], 0); k == base {
+	if k := KeyOf(content[:len(content)-1]); k == base {
 		t.Error("a shorter content produced an equal key")
 	}
-	if k := KeyOf(append(content, 0), 0); k == base {
+	if k := KeyOf(append(content, 0)); k == base {
 		t.Error("a zero-extended content produced an equal key")
-	}
-	if k := KeyOf(content, 1); k == base {
-		t.Error("distinct mode produced an equal key")
-	}
-}
-
-// TestKeyOfSeededDiscriminates pins that the extra value (a sample's full
-// file size) is part of the key: equal samples of files whose sizes differ
-// never share a key, and the seeded key never equals the plain one.
-func TestKeyOfSeededDiscriminates(t *testing.T) {
-	sample := make([]byte, 8<<10)
-	rand.New(rand.NewSource(2)).Read(sample)
-	a := KeyOfSeeded(sample, 64<<10, 2)
-	if b := KeyOfSeeded(append([]byte(nil), sample...), 64<<10, 2); a != b {
-		t.Fatal("identical input produced different keys")
-	}
-	for _, size := range []uint64{0, 8 << 10, 64<<10 + 1, 1 << 40} {
-		if b := KeyOfSeeded(sample, size, 2); a == b {
-			t.Errorf("full sizes 64 KiB and %d produced equal keys", size)
-		}
-	}
-	if b := KeyOf(sample, 2); a == b {
-		t.Error("seeded and plain keys are equal")
 	}
 }
 
@@ -63,7 +40,7 @@ func TestKeyOfSeededDiscriminates(t *testing.T) {
 // own shard only.
 func TestIdleCacheHoldsNoShardHeap(t *testing.T) {
 	c := New(1 << 20)
-	k := KeyOf([]byte("content"), 0)
+	k := KeyOf([]byte("content"))
 	c.Get(k)
 	c.Stats()
 	for i := range c.shards {
@@ -84,7 +61,7 @@ func TestIdleCacheHoldsNoShardHeap(t *testing.T) {
 
 func TestGetPut(t *testing.T) {
 	c := New(1 << 20)
-	k := KeyOf([]byte("content"), 0)
+	k := KeyOf([]byte("content"))
 	if _, ok := c.Get(k); ok {
 		t.Fatal("hit on empty cache")
 	}
@@ -113,7 +90,7 @@ func TestEvictionByteBound(t *testing.T) {
 	// exercise.
 	var keys []Key
 	for i := 0; len(keys) < 8; i++ {
-		k := KeyOf([]byte(fmt.Sprintf("content-%d", i)), 0)
+		k := KeyOf([]byte(fmt.Sprintf("content-%d", i)))
 		if c.shard(k) == sh {
 			keys = append(keys, k)
 		}
@@ -143,7 +120,7 @@ func TestRecencyProtectsHotEntries(t *testing.T) {
 	sh := &c.shards[0]
 	var keys []Key
 	for i := 0; len(keys) < 4; i++ {
-		k := KeyOf([]byte(fmt.Sprintf("hot-%d", i)), 0)
+		k := KeyOf([]byte(fmt.Sprintf("hot-%d", i)))
 		if c.shard(k) == sh {
 			keys = append(keys, k)
 		}
@@ -162,7 +139,7 @@ func TestRecencyProtectsHotEntries(t *testing.T) {
 
 func TestOversizedAndZeroCapacity(t *testing.T) {
 	c := New(16 * 100)
-	k := KeyOf([]byte("big"), 0)
+	k := KeyOf([]byte("big"))
 	c.Put(k, "v", 101) // exceeds the 100-byte shard budget
 	if _, ok := c.Get(k); ok {
 		t.Fatal("oversized entry cached")
@@ -184,7 +161,7 @@ func TestConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < 2000; i++ {
-				k := KeyOf([]byte(fmt.Sprintf("cc-%d", rng.Intn(200))), 0)
+				k := KeyOf([]byte(fmt.Sprintf("cc-%d", rng.Intn(200))))
 				if rng.Intn(2) == 0 {
 					c.Put(k, i, int64(rng.Intn(512)))
 				} else {
@@ -211,19 +188,8 @@ func BenchmarkKeyOf(b *testing.B) {
 			b.SetBytes(int64(size))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				keySink = KeyOf(data, 0)
+				keySink = KeyOf(data)
 			}
 		})
 	}
-	// The sampled tier's key: an 8 KiB header sample with the full size
-	// hashed ahead of it.
-	b.Run("seeded/size=8192", func(b *testing.B) {
-		data := make([]byte, 8<<10)
-		rand.New(rand.NewSource(4)).Read(data)
-		b.SetBytes(int64(len(data)))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			keySink = KeyOfSeeded(data, 1<<20, 2)
-		}
-	})
 }

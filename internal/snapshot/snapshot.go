@@ -79,7 +79,7 @@ type Header struct {
 	// Registry is the indicator-registry fingerprint ("reg1-…"), the same
 	// canonical identity the audit bundles carry.
 	Registry string
-	// Config is the engine-config hash ("cfg2-…") over the scoring-relevant
+	// Config is the engine-config hash ("cfg3-…") over the scoring-relevant
 	// configuration fields.
 	Config string
 }

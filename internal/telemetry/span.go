@@ -34,7 +34,7 @@ type Span struct {
 	OpIndex int64 `json:"opIndex,omitempty"`
 	// Path is the protected file the step concerned, when known.
 	Path string `json:"path,omitempty"`
-	// Detail carries preformatted step attributes ("tier=sampled memo=hit").
+	// Detail carries preformatted step attributes ("memo=hit").
 	Detail string `json:"detail,omitempty"`
 	// Start is nanoseconds since the tracer epoch.
 	Start int64 `json:"startNs"`

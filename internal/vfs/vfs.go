@@ -864,31 +864,6 @@ func (fs *FS) ReadFileRawByID(id uint64) ([]byte, error) {
 	return out, nil
 }
 
-// ReadFileRawRangeByID returns the file bytes in [off, off+n) — shorter at
-// end of file, empty when off is at or past it — together with the file's
-// total size, by file ID. Like ReadFileRawByID it bypasses the interceptor,
-// but it materialises only the requested range: the analysis engine's
-// sampled measurements and write-range captures read kilobytes from
-// megabyte files through it.
-func (fs *FS) ReadFileRawRangeByID(id uint64, off, n int64) ([]byte, int64, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	e, ok := fs.ids[id]
-	if !ok {
-		return nil, 0, fmt.Errorf("file id %d: %w", id, ErrNotExist)
-	}
-	data, size, err := e.m.b.Read(e.id, off, n)
-	if err != nil {
-		return nil, 0, err
-	}
-	if len(data) == 0 {
-		return nil, size, nil
-	}
-	out := make([]byte, len(data))
-	copy(out, data)
-	return out, size, nil
-}
-
 // RestoreFileRawByID overwrites the file's content without passing through
 // the interceptor — the recovery coordinator's privileged rollback write.
 // The read-only attribute is ignored, as a kernel-side restore would.

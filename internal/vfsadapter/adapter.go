@@ -105,9 +105,3 @@ func Source(fsys *vfs.FS) core.ContentSource { return source{fs: fsys} }
 func (s source) Content(id uint64) ([]byte, error) {
 	return s.fs.ReadFileRawByID(id)
 }
-
-// ContentRange implements core.RangeReader: the engine's sampled tier reads
-// only the header sample instead of copying out whole files.
-func (s source) ContentRange(id uint64, off, n int64) ([]byte, int64, error) {
-	return s.fs.ReadFileRawRangeByID(id, off, n)
-}
