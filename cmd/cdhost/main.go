@@ -332,8 +332,11 @@ func dumpSpans(path string, spans *telemetry.SpanTracer) {
 		fmt.Fprintln(os.Stderr, "cdhost: trace-out:", err)
 		return
 	}
-	defer f.Close()
-	if err := spans.WriteChromeTrace(f); err != nil {
+	err = spans.WriteChromeTrace(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "cdhost: trace-out:", err)
 		return
 	}

@@ -80,21 +80,9 @@ func (f *Feeder) id(path string) uint64 {
 // about to be opened for writing.
 func (f *Feeder) Prime(ctx context.Context, path string, content []byte) error {
 	f.mu.Lock()
-	op := primeOp(path, f.id(path), content)
+	op := host.OpBaseline(actorPID, path, f.id(path), content)
 	f.mu.Unlock()
 	return f.target.Submit(ctx, op)
-}
-
-// primeOp builds the baseline-only op for path under id.
-func primeOp(path string, id uint64, content []byte) host.Op {
-	return host.Op{
-		PreEvent: &core.Event{
-			Kind: core.EvOpen, PID: actorPID, Path: path, FileID: id,
-			Flags: core.EvWriteIntent, Size: int64(len(content)),
-		},
-		Pre:   map[uint64][]byte{id: content},
-		Evict: []uint64{id},
-	}
 }
 
 // PrimeTree baselines every readable file under root.
@@ -175,26 +163,16 @@ func (f *Feeder) changeOps(path string, content []byte, kind EventKind) []host.O
 	if !known && kind == EventCreated {
 		// A file born under the watch: the actor is its creator (its later
 		// deletion is temp-file churn, not destruction of user data).
-		ops = append(ops, host.Op{Event: core.Event{
-			Kind: core.EvCreate, PID: actorPID, Path: path, FileID: id,
-			Flags: core.EvWriteIntent | core.EvCreateIntent,
-		}})
+		ops = append(ops, host.OpCreate(actorPID, path, id))
 	}
 	if !known && kind == EventModified {
 		// First sight of a pre-existing file mid-change: baseline it from
 		// the post-change content so state is tracked from here on. The
 		// close below then compares identical content and scores nothing —
 		// mirroring the engine seeing only the tail of a write.
-		ops = append(ops, primeOp(path, id, content))
+		ops = append(ops, host.OpBaseline(actorPID, path, id, content))
 	}
-	return append(ops, host.Op{
-		Event: core.Event{
-			Kind: core.EvClose, PID: actorPID, Path: path, FileID: id,
-			Size: int64(len(content)), Wrote: true,
-		},
-		Post:  map[uint64][]byte{id: content},
-		Evict: []uint64{id},
-	})
+	return append(ops, host.OpClose(actorPID, path, id, content))
 }
 
 // Delete submits the op scoring a removal.
@@ -209,7 +187,5 @@ func (f *Feeder) Delete(ctx context.Context, path string) error {
 func (f *Feeder) deleteOp(path string) host.Op {
 	id := f.id(path)
 	delete(f.paths, path)
-	return host.Op{Event: core.Event{
-		Kind: core.EvDelete, PID: actorPID, Path: path, FileID: id,
-	}}
+	return host.OpDelete(actorPID, path, id)
 }

@@ -22,7 +22,9 @@ import (
 // trace was captured over, and mutates it as write/rename/delete records go
 // by; it serves the engine's ContentSource lookups from that store. Records
 // whose pre-state is unknown (opens of files outside the seeded corpus) are
-// skipped, mirroring how a trace is a partial view of a machine.
+// skipped, mirroring how a trace is a partial view of a machine. One record
+// walk (begin, finish) advances the store for Replay, Advance and
+// BuildHostOps alike.
 type EventReplayer struct {
 	byPath map[string]*replayFile
 	byID   map[uint64]*replayFile
@@ -98,133 +100,96 @@ func (rec *Record) event() core.Event {
 	return vfsadapter.EventFromOp(&op)
 }
 
-// Replay emits the records into eng in order. The engine must have been
-// constructed with this replayer as its ContentSource. Undecodable payloads
-// and records whose pre-state is missing from the store are skipped.
-func (r *EventReplayer) Replay(eng *core.Engine, records []Record) (ReplayResult, error) {
-	var res ReplayResult
-	for i := range records {
-		rec := &records[i]
-		if r.apply(eng, rec) {
-			res.Applied++
-		} else {
-			res.Skipped++
-		}
-	}
-	return res, nil
+// step is one record split at the engine's two callbacks, as begin returns
+// it: the event PreEvent sees, the event Handle sees, and the stored files
+// whose content each may read.
+type step struct {
+	pre, ev core.Event
+	// preIDs[:nPre] are the files whose content PreEvent may read.
+	preIDs [2]uint64
+	nPre   int
+	// post marks a close: Handle measures ev.FileID as finish leaves it.
+	post bool
 }
 
-// Advance fast-forwards the content store through records without emitting
-// anything: every store mutation (writes, truncating opens, deletes, renames)
-// happens exactly as in Replay, but no engine sees the events. It exists for
-// checkpoint resume — an engine restored from a snapshot taken after record N
-// needs a ContentSource whose store has also advanced through records [0,N),
-// and Advance rebuilds that store state from the same seeded corpus. The
-// applied/skipped split matches what Replay would have reported.
-func (r *EventReplayer) Advance(records []Record) ReplayResult {
-	var res ReplayResult
-	for i := range records {
-		if r.apply(nil, &records[i]) {
-			res.Applied++
-		} else {
-			res.Skipped++
-		}
-	}
-	return res
-}
-
-// apply emits one record; it reports whether the record was applied. A nil
-// engine mutates only the content store (the Advance fast-forward path) —
-// the applied/skipped decision is identical either way.
-func (r *EventReplayer) apply(eng *core.Engine, rec *Record) bool {
-	ev := rec.event()
-	switch ev.Kind {
+// begin decodes rec and applies the skip rules, reporting false for a
+// record that is skipped: an open of a file outside the store without
+// create intent (its pre-state is unknown) and an undecodable payload. It
+// makes the store changes that precede PreEvent (registering created files)
+// and returns the record's step. Replay, Advance and BuildHostOps all walk
+// records as begin, then PreEvent's side, then finish, then Handle's side.
+func (r *EventReplayer) begin(rec *Record) (step, bool) {
+	st := step{ev: rec.event()}
+	preSize := st.ev.Size
+	switch st.ev.Kind {
 	case core.EvCreate:
-		// A newly created (empty) file: register it so later writes land.
 		r.Seed(rec.Path, rec.FileID, nil)
-		if eng != nil {
-			eng.PreEvent(ev)
-			eng.Handle(ev)
-		}
-
 	case core.EvOpen:
 		f := r.byPath[rec.Path]
 		if f == nil {
-			if ev.Flags&core.EvCreateIntent == 0 {
-				return false // pre-state unknown: outside the seeded corpus
+			if st.ev.Flags&core.EvCreateIntent == 0 {
+				return st, false
 			}
 			r.Seed(rec.Path, rec.FileID, nil)
 			f = r.byPath[rec.Path]
 		}
-		if eng != nil {
-			// The live PreOp saw the size before any truncation; the record
-			// carries the post-truncation size. Reconstruct the pre-size from
-			// the store.
-			pre := ev
-			pre.Size = int64(len(f.data))
-			eng.PreEvent(pre)
-		}
-		if ev.Flags&core.EvTruncate != 0 && ev.Flags&core.EvWriteIntent != 0 {
-			f.data = nil
-		}
-		if eng != nil {
-			eng.Handle(ev)
-		}
-
-	case core.EvRead:
+		// The live PreOp saw the size before any truncation; the record
+		// carries the post-truncation size.
+		preSize = int64(len(f.data))
+		st.preIDs[0], st.nPre = st.ev.FileID, 1
+	case core.EvRead, core.EvWrite:
 		// The payload is authoritative: it is exactly what the live engine
 		// saw, whether or not the file is in the store.
 		data, err := base64.StdEncoding.DecodeString(rec.DataB64)
 		if err != nil {
-			return false
+			return st, false
 		}
-		if eng != nil {
-			ev.Data = data
-			eng.PreEvent(ev)
-			eng.Handle(ev)
+		st.ev.Data = data
+		if st.ev.Kind == core.EvWrite {
+			// PreEvent may snapshot the pre-write content (the fallback for
+			// handles opened before the engine attached).
+			st.preIDs[0], st.nPre = st.ev.FileID, 1
 		}
-
-	case core.EvWrite:
-		data, err := base64.StdEncoding.DecodeString(rec.DataB64)
-		if err != nil {
-			return false
-		}
-		if eng != nil {
-			ev.Data = data
-			eng.PreEvent(ev)
-		}
-		if f := r.byPath[rec.Path]; f != nil {
-			f.write(rec.Offset, data)
-		}
-		if eng != nil {
-			eng.Handle(ev)
-		}
-
 	case core.EvClose:
-		// Emitted even for files missing from the store: the live close of
-		// a just-deleted file behaves the same way (its content read fails,
-		// so the transformation evaluation is a no-op).
-		if eng != nil {
-			eng.PreEvent(ev)
-			eng.Handle(ev)
-		}
-
+		// A file missing from the store (deleted under an open handle)
+		// stays missing, so the live close's failed read is reproduced.
+		st.post = true
 	case core.EvDelete:
-		if eng != nil {
-			eng.PreEvent(ev)
+	case core.EvRename:
+		// PreEvent snapshots the replaced and the moving file; the bytes do
+		// not change across the rename, so Handle reads the same.
+		if rec.ReplacedID != 0 {
+			st.preIDs[0], st.nPre = rec.ReplacedID, 1
 		}
+		st.preIDs[st.nPre] = st.ev.FileID
+		st.nPre++
+	default:
+		return st, false
+	}
+	st.pre = st.ev
+	st.pre.Size = preSize
+	return st, true
+}
+
+// finish makes the store changes Handle observes: a truncating write-open
+// empties the file, a write lands its bytes, a delete drops the file and a
+// rename moves it over whatever it replaced.
+func (r *EventReplayer) finish(rec *Record, st *step) {
+	switch st.ev.Kind {
+	case core.EvOpen:
+		if st.ev.Flags&core.EvTruncate != 0 && st.ev.Flags&core.EvWriteIntent != 0 {
+			r.byPath[rec.Path].data = nil
+		}
+	case core.EvWrite:
+		if f := r.byPath[rec.Path]; f != nil {
+			f.write(rec.Offset, st.ev.Data)
+		}
+	case core.EvDelete:
 		if f := r.byPath[rec.Path]; f != nil {
 			delete(r.byPath, rec.Path)
 			delete(r.byID, f.id)
 		}
-		if eng != nil {
-			eng.Handle(ev)
-		}
-
 	case core.EvRename:
-		if eng != nil {
-			eng.PreEvent(ev)
-		}
 		if old := r.byPath[rec.NewPath]; old != nil && rec.ReplacedID != 0 {
 			delete(r.byID, old.id)
 		}
@@ -232,14 +197,47 @@ func (r *EventReplayer) apply(eng *core.Engine, rec *Record) bool {
 			delete(r.byPath, rec.Path)
 			r.byPath[rec.NewPath] = f
 		}
-		if eng != nil {
-			eng.Handle(ev)
-		}
-
-	default:
-		return false
 	}
-	return true
+}
+
+// Replay emits the records into eng in order. The engine must have been
+// constructed with this replayer as its ContentSource. Records begin skips
+// are counted, not emitted.
+func (r *EventReplayer) Replay(eng *core.Engine, records []Record) (ReplayResult, error) {
+	var res ReplayResult
+	for i := range records {
+		rec := &records[i]
+		st, ok := r.begin(rec)
+		if !ok {
+			res.Skipped++
+			continue
+		}
+		res.Applied++
+		eng.PreEvent(st.pre)
+		r.finish(rec, &st)
+		eng.Handle(st.ev)
+	}
+	return res, nil
+}
+
+// Advance fast-forwards the content store through records without emitting
+// anything: the same walk as Replay with no engine between its steps. It
+// exists for checkpoint resume — an engine restored from a snapshot taken
+// after record N needs a ContentSource whose store has also advanced
+// through records [0,N), and Advance rebuilds that store state from the
+// same seeded corpus. The applied/skipped split matches Replay's.
+func (r *EventReplayer) Advance(records []Record) ReplayResult {
+	var res ReplayResult
+	for i := range records {
+		st, ok := r.begin(&records[i])
+		if !ok {
+			res.Skipped++
+			continue
+		}
+		res.Applied++
+		r.finish(&records[i], &st)
+	}
+	return res
 }
 
 // write mirrors the vfs file write: store data at off, growing as needed.

@@ -17,6 +17,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sync"
 
 	"cryptodrop/internal/vfs"
@@ -155,6 +156,11 @@ func Read(r io.Reader) ([]Record, error) {
 		}
 		if _, ok := kindByName[rec.Op]; !ok {
 			return nil, fmt.Errorf("trace: line %d: unknown op %q", line, rec.Op)
+		}
+		// No recorder writes a negative offset or size, or a payload ending
+		// past math.MaxInt64; replaying one would slice out of range.
+		if rec.Offset < 0 || rec.Size < 0 || rec.Offset > math.MaxInt64-int64(base64.StdEncoding.DecodedLen(len(rec.DataB64))) {
+			return nil, fmt.Errorf("trace: line %d: offset %d, size %d or payload out of range", line, rec.Offset, rec.Size)
 		}
 		out = append(out, rec)
 	}

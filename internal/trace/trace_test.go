@@ -184,3 +184,29 @@ func TestReplaySkipsForeignFiles(t *testing.T) {
 		t.Fatalf("result = %+v, want 2 skipped, 1 applied", rr)
 	}
 }
+
+// TestReadRejectsBadRanges pins Read's range checks: a record with a
+// negative offset or size, or whose offset plus payload length overflows
+// int64, is refused with its line number instead of reaching the replayer
+// (where a negative write offset used to panic slicing the store).
+func TestReadRejectsBadRanges(t *testing.T) {
+	for _, tc := range []struct{ name, line string }{
+		{"negative offset", `{"seq":1,"op":"write","pid":1,"path":"/a","fileId":1,"offset":-4,"data":"aGk="}`},
+		{"negative size", `{"seq":1,"op":"open","pid":1,"path":"/a","fileId":1,"size":-1}`},
+		{"offset overflow", `{"seq":1,"op":"write","pid":1,"path":"/a","fileId":1,"offset":9223372036854775806,"data":"aGVsbG8="}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			records, err := Read(strings.NewReader("\n" + tc.line + "\n"))
+			if err == nil {
+				// Replay what was accepted, as cdreplay would.
+				r := NewEventReplayer()
+				r.Seed("/a", 1, []byte("seeded"))
+				r.Advance(records)
+				t.Fatalf("accepted %+v", records)
+			}
+			if !strings.Contains(err.Error(), "line 2") {
+				t.Fatalf("error %q does not name line 2", err)
+			}
+		})
+	}
+}

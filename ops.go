@@ -2,18 +2,10 @@ package cryptodrop
 
 // Op constructors for producers feeding host sessions or the wire client —
 // the builders behind Session.Submit and the detection service's ingest
-// stream. Each returns one canonical host.Op so producers never hand-fill
-// the struct: event kinds, write-intent flags, staged-content maps and
-// eviction lists are easy to get subtly wrong (a missing Wrote bit or Evict
-// entry silently skews scoring or leaks overlay memory).
-//
-// The file ID is the producer's stable identity for a file across renames —
-// any uint64 scheme works as long as it is consistent within a session.
-// Staged content (before/after) rides in the op and is evicted from the
-// session's overlay as soon as the op is scored; producers therefore need
-// no server-side filesystem at all.
+// stream. Each forwards to internal/host, which holds the one definition of
+// the Op contract; see there for what every op stages and evicts.
 
-import "cryptodrop/internal/core"
+import "cryptodrop/internal/host"
 
 // OpBaseline seeds the engine's pre-state for an existing file without
 // scoring a modification: an open-for-write announcement staging the file's
@@ -21,14 +13,7 @@ import "cryptodrop/internal/core"
 // modify it, so the first real change measures similarity and entropy
 // against the true original rather than an empty baseline.
 func OpBaseline(pid int, path string, id uint64, content []byte) Op {
-	return Op{
-		PreEvent: &core.Event{
-			Kind: EvOpen, PID: pid, Path: path, FileID: id,
-			Flags: EvWriteIntent, Size: int64(len(content)),
-		},
-		Pre:   map[uint64][]byte{id: content},
-		Evict: []uint64{id},
-	}
+	return host.OpBaseline(pid, path, id, content)
 }
 
 // OpWrite captures one full rewrite cycle — open with write intent, modify,
@@ -36,54 +21,26 @@ func OpBaseline(pid int, path string, id uint64, content []byte) Op {
 // content it left. This is the workhorse for producers that observe whole
 // file versions (editor saves, ransomware rewrites).
 func OpWrite(pid int, path string, id uint64, before, after []byte) Op {
-	return Op{
-		PreEvent: &core.Event{
-			Kind: EvOpen, PID: pid, Path: path, FileID: id,
-			Flags: EvWriteIntent, Size: int64(len(before)),
-		},
-		Pre: map[uint64][]byte{id: before},
-		Event: core.Event{
-			Kind: EvClose, PID: pid, Path: path, FileID: id,
-			Size: int64(len(after)), Wrote: true,
-		},
-		Post:  map[uint64][]byte{id: after},
-		Evict: []uint64{id},
-	}
+	return host.OpWrite(pid, path, id, before, after)
 }
 
 // OpClose scores a written-to file closing with the given final content,
 // when the open was announced earlier (OpBaseline or OpCreate). Producers
 // that cannot pair opens with closes should prefer OpWrite.
 func OpClose(pid int, path string, id uint64, after []byte) Op {
-	return Op{
-		Event: core.Event{
-			Kind: EvClose, PID: pid, Path: path, FileID: id,
-			Size: int64(len(after)), Wrote: true,
-		},
-		Post:  map[uint64][]byte{id: after},
-		Evict: []uint64{id},
-	}
+	return host.OpClose(pid, path, id, after)
 }
 
 // OpCreate announces a file born under the watch; the creating process owns
 // its subsequent modifications.
-func OpCreate(pid int, path string, id uint64) Op {
-	return Op{Event: core.Event{
-		Kind: EvCreate, PID: pid, Path: path, FileID: id,
-		Flags: EvWriteIntent | EvCreateIntent,
-	}}
-}
+func OpCreate(pid int, path string, id uint64) Op { return host.OpCreate(pid, path, id) }
 
 // OpDelete scores a file removal — the bulk-deletion secondary indicator's
 // input.
-func OpDelete(pid int, path string, id uint64) Op {
-	return Op{Event: core.Event{Kind: EvDelete, PID: pid, Path: path, FileID: id}}
-}
+func OpDelete(pid int, path string, id uint64) Op { return host.OpDelete(pid, path, id) }
 
 // OpRename scores a rename; with a changed extension it feeds the
 // file-type funneling indicator.
 func OpRename(pid int, oldPath, newPath string, id uint64) Op {
-	return Op{Event: core.Event{
-		Kind: EvRename, PID: pid, Path: oldPath, NewPath: newPath, FileID: id,
-	}}
+	return host.OpRename(pid, oldPath, newPath, id)
 }
