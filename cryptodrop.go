@@ -143,7 +143,7 @@ type (
 	// composition, causal firing history, touched files, engine and registry
 	// identity, measurement state.
 	AuditBundle = audit.Bundle
-	// VersionStore retains copy-on-write pre-images of files modified by
+	// VersionStore retains copied pre-images of files modified by
 	// not-yet-cleared process groups, out of reach of shadow-copy deletion.
 	// Create with NewVersionStore and arm with WithRecovery.
 	VersionStore = versioned.Store

@@ -20,34 +20,34 @@ import (
 //
 // The replayer maintains its own content store, seeded from the corpus the
 // trace was captured over, and mutates it as write/rename/delete records go
-// by; it serves the engine's ContentSource lookups from that store. Records
-// whose pre-state is unknown (opens of files outside the seeded corpus) are
-// skipped, mirroring how a trace is a partial view of a machine. One record
-// walk (begin, finish) advances the store for Replay, Advance and
-// BuildHostOps alike.
+// by; it serves the engine's ContentSource lookups from that store. The
+// bytes live in a vfs.Memory keyed by file ID, so replayed writes grow
+// files by the same rule as live ones. Records whose pre-state is unknown
+// (opens of files outside the seeded corpus) are skipped, mirroring how a
+// trace is a partial view of a machine. One record walk (begin, finish)
+// advances the store for Replay, Advance and BuildHostOps alike.
 type EventReplayer struct {
-	byPath map[string]*replayFile
-	byID   map[uint64]*replayFile
-}
-
-type replayFile struct {
-	id   uint64
-	data []byte
+	// byPath maps a path to the ID of the file it names; a file's content
+	// is in mem under that ID. Every ID byPath names is stored in mem, so
+	// the store calls on those IDs cannot fail and their errors are
+	// dropped.
+	byPath map[string]uint64
+	mem    *vfs.Memory
 }
 
 // NewEventReplayer returns a replayer with an empty content store.
 func NewEventReplayer() *EventReplayer {
-	return &EventReplayer{
-		byPath: make(map[string]*replayFile),
-		byID:   make(map[uint64]*replayFile),
-	}
+	return &EventReplayer{byPath: make(map[string]uint64), mem: vfs.NewMemory()}
 }
 
-// Seed installs a file's pre-trace content under its stable ID and path.
+// Seed installs a file's pre-trace content under its stable ID and path,
+// replacing any content stored under id.
 func (r *EventReplayer) Seed(path string, id uint64, content []byte) {
-	f := &replayFile{id: id, data: append([]byte(nil), content...)}
-	r.byPath[path] = f
-	r.byID[id] = f
+	if r.mem.Open(id, path, true, false) != nil {
+		_ = r.mem.Open(id, path, false, true) // already stored: empty it
+	}
+	_, _ = r.mem.Write(id, 0, content)
+	r.byPath[path] = id
 }
 
 // SeedFromFS seeds the store from every file in fsys — typically a corpus
@@ -74,11 +74,11 @@ func (r *EventReplayer) SeedFromFS(fsys *vfs.FS) error {
 // Content implements core.ContentSource over the replayer's store. The
 // returned slice is a copy: the store mutates as the replay advances.
 func (r *EventReplayer) Content(id uint64) ([]byte, error) {
-	f, ok := r.byID[id]
-	if !ok {
+	data, _, err := r.mem.Read(id, 0, -1)
+	if err != nil {
 		return nil, fmt.Errorf("trace: no content for file id %d", id)
 	}
-	return append([]byte(nil), f.data...), nil
+	return append([]byte(nil), data...), nil
 }
 
 // event converts a record to the engine's event model, reusing the one
@@ -125,17 +125,17 @@ func (r *EventReplayer) begin(rec *Record) (step, bool) {
 	case core.EvCreate:
 		r.Seed(rec.Path, rec.FileID, nil)
 	case core.EvOpen:
-		f := r.byPath[rec.Path]
-		if f == nil {
+		id, ok := r.byPath[rec.Path]
+		if !ok {
 			if st.ev.Flags&core.EvCreateIntent == 0 {
 				return st, false
 			}
 			r.Seed(rec.Path, rec.FileID, nil)
-			f = r.byPath[rec.Path]
+			id = rec.FileID
 		}
 		// The live PreOp saw the size before any truncation; the record
 		// carries the post-truncation size.
-		preSize = int64(len(f.data))
+		preSize, _ = r.mem.Stat(id)
 		st.preIDs[0], st.nPre = st.ev.FileID, 1
 	case core.EvRead, core.EvWrite:
 		// The payload is authoritative: it is exactly what the live engine
@@ -173,29 +173,32 @@ func (r *EventReplayer) begin(rec *Record) (step, bool) {
 
 // finish makes the store changes Handle observes: a truncating write-open
 // empties the file, a write lands its bytes, a delete drops the file and a
-// rename moves it over whatever it replaced.
+// rename moves it over whatever it replaced. A rename from a path outside
+// the store over a replaced file leaves the new path outside the store
+// too: its content is unknown.
 func (r *EventReplayer) finish(rec *Record, st *step) {
 	switch st.ev.Kind {
 	case core.EvOpen:
 		if st.ev.Flags&core.EvTruncate != 0 && st.ev.Flags&core.EvWriteIntent != 0 {
-			r.byPath[rec.Path].data = nil
+			_ = r.mem.Open(r.byPath[rec.Path], "", false, true)
 		}
 	case core.EvWrite:
-		if f := r.byPath[rec.Path]; f != nil {
-			f.write(rec.Offset, st.ev.Data)
+		if id, ok := r.byPath[rec.Path]; ok {
+			_, _ = r.mem.Write(id, rec.Offset, st.ev.Data)
 		}
 	case core.EvDelete:
-		if f := r.byPath[rec.Path]; f != nil {
+		if id, ok := r.byPath[rec.Path]; ok {
 			delete(r.byPath, rec.Path)
-			delete(r.byID, f.id)
+			_ = r.mem.Delete(id)
 		}
 	case core.EvRename:
-		if old := r.byPath[rec.NewPath]; old != nil && rec.ReplacedID != 0 {
-			delete(r.byID, old.id)
+		if old, ok := r.byPath[rec.NewPath]; ok && rec.ReplacedID != 0 {
+			delete(r.byPath, rec.NewPath)
+			_ = r.mem.Delete(old)
 		}
-		if f := r.byPath[rec.Path]; f != nil {
+		if id, ok := r.byPath[rec.Path]; ok {
 			delete(r.byPath, rec.Path)
-			r.byPath[rec.NewPath] = f
+			r.byPath[rec.NewPath] = id
 		}
 	}
 }
@@ -238,15 +241,4 @@ func (r *EventReplayer) Advance(records []Record) ReplayResult {
 		r.finish(&records[i], &st)
 	}
 	return res
-}
-
-// write mirrors the vfs file write: store data at off, growing as needed.
-func (f *replayFile) write(off int64, data []byte) {
-	need := off + int64(len(data))
-	if need > int64(len(f.data)) {
-		nd := make([]byte, need)
-		copy(nd, f.data)
-		f.data = nd
-	}
-	copy(f.data[off:], data)
 }

@@ -51,13 +51,13 @@ func (r *EventReplayer) BuildHostOps(records []Record) ([]host.Op, ReplayResult)
 // the session's read fails as the live one did. The copy is taken because
 // the store mutates after the op is built.
 func (r *EventReplayer) stage(m *map[uint64][]byte, evict *[]uint64, id uint64) {
-	f := r.byID[id]
-	if f == nil {
+	data, _, err := r.mem.Read(id, 0, -1)
+	if err != nil {
 		return
 	}
 	if *m == nil {
 		*m = make(map[uint64][]byte, 1)
 	}
-	(*m)[id] = append([]byte(nil), f.data...)
+	(*m)[id] = append([]byte(nil), data...)
 	*evict = append(*evict, id)
 }

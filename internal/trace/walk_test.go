@@ -181,3 +181,21 @@ func TestWalkEdgeRecords(t *testing.T) {
 		t.Errorf("flight traces diverge:\n engine: %+v\n host:   %+v", want, got)
 	}
 }
+
+// TestRenameFromUnknownOverStoredFile renames a file the store does not
+// hold over one it does: the replaced content leaves the store, and the
+// new path names a file of unknown content, so a later open of it without
+// create intent is skipped like any other unknown file.
+func TestRenameFromUnknownOverStoredFile(t *testing.T) {
+	r := edgeReplayer()
+	records := []Record{
+		{Op: "rename", Path: "/elsewhere/x.tmp", NewPath: "/docs/b.txt", FileID: 50, ReplacedID: 2},
+		{Op: "open", Path: "/docs/b.txt", FileID: 50, Flags: int(vfs.ReadOnly)},
+	}
+	if got, want := r.Advance(records), (ReplayResult{Applied: 1, Skipped: 1}); got != want {
+		t.Errorf("Advance = %+v, want %+v", got, want)
+	}
+	if _, err := r.Content(2); err == nil {
+		t.Error("the file replaced by the rename is still in the store")
+	}
+}

@@ -29,7 +29,9 @@ type Backend interface {
 	// Read returns the file bytes in [off, off+n) — shorter at end of file,
 	// empty when off is at or past it — together with the file's total
 	// size. n < 0 reads to the end. The returned slice may alias backend
-	// storage; callers that retain it must copy.
+	// storage: callers must not write through it, and callers that retain
+	// it must copy. An aliasing slice's capacity ends at its length, so
+	// appending to it reallocates and never reaches spare capacity.
 	Read(id uint64, off, n int64) ([]byte, int64, error)
 	// Write stores data at off, growing the file as needed (the gap, if
 	// any, reads as zero bytes), and returns the new total size.
@@ -58,7 +60,7 @@ type Cloner interface {
 // PreImager is the optional backend capability the router invokes before a
 // destructive mutation — a truncating open, a write, a delete, a
 // rename-replace — with the acting process and the file's full router path.
-// The versioned extension implements it to retain copy-on-write pre-images;
+// The versioned extension implements it to retain copies of pre-images;
 // plain backends ignore it and pay nothing. The call happens after the
 // interceptor's PreOp passes (vetoed operations mutate nothing, so nothing
 // is captured) and before the backend mutation, with the router lock held.

@@ -45,7 +45,9 @@ func (m *Memory) Open(id uint64, path string, create, truncate bool) error {
 	return nil
 }
 
-// Read implements Backend. The returned slice aliases the stored content.
+// Read implements Backend. The returned slice aliases the stored content,
+// with its capacity clipped to its length: a caller's append reallocates
+// instead of writing into the file's spare capacity.
 func (m *Memory) Read(id uint64, off, n int64) ([]byte, int64, error) {
 	f, ok := m.files[id]
 	if !ok {
@@ -59,7 +61,7 @@ func (m *Memory) Read(id uint64, off, n int64) ([]byte, int64, error) {
 	if n >= 0 && off+n < size {
 		end = off + n
 	}
-	return f.data[off:end], size, nil
+	return f.data[off:end:end], size, nil
 }
 
 // Write implements Backend, honouring copy-on-write sharing.
@@ -72,15 +74,29 @@ func (m *Memory) Write(id uint64, off int64, data []byte) (int64, error) {
 	return int64(len(f.data)), nil
 }
 
-// write stores data at off, honouring copy-on-write sharing.
+// write stores data at off, honouring copy-on-write sharing. Growth
+// follows append's rule (doubling up to 256 bytes, then tapering to about
+// 1.25x), so appending a file in chunks copies each byte O(1) times. The
+// spare capacity it leaves is never written before it is resliced into
+// the file, so the gap of a sparse write reads as zero.
 func (f *memFile) write(off int64, data []byte) {
-	need := off + int64(len(data))
-	if f.shared || need > int64(cap(f.data)) {
-		nd := make([]byte, max64(need, int64(len(f.data))))
-		copy(nd, f.data)
-		f.data = nd
+	size, need := int64(len(f.data)), off+int64(len(data))
+	switch {
+	case need > int64(cap(f.data)) || f.shared && need > size:
+		// The clip makes append reallocate, leaving a shared array intact.
+		// Appending the bytes past the old end spares clearing memory that
+		// is overwritten at once; only a sparse write's gap is cleared.
+		if off > size {
+			f.data = append(f.data[:size:size], make([]byte, need-size)...)
+		} else {
+			f.data = append(f.data[:size:size], data[size-off:]...)
+			data = data[:size-off]
+		}
 		f.shared = false
-	} else if need > int64(len(f.data)) {
+	case f.shared:
+		f.data = append([]byte(nil), f.data...)
+		f.shared = false
+	case need > size:
 		f.data = f.data[:need]
 	}
 	copy(f.data[off:], data)
@@ -119,11 +135,4 @@ func (m *Memory) CloneBackend() Backend {
 		nm.files[id] = &memFile{data: f.data, shared: true}
 	}
 	return nm
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

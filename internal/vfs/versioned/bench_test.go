@@ -64,7 +64,7 @@ func BenchmarkVersionedWriteRetained(b *testing.B) {
 	}
 }
 
-// BenchmarkVersionedWriteFirstCapture measures the full CoW capture cost per
+// BenchmarkVersionedWriteFirstCapture measures the full pre-image capture cost per
 // write: the group is released every iteration so each write re-captures the
 // 16 KiB pre-image (read + copy + store insert + drop).
 func BenchmarkVersionedWriteFirstCapture(b *testing.B) {

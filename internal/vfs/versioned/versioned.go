@@ -1,6 +1,6 @@
 // Package versioned implements the pre-image retention layer of the
 // detect-then-recover pipeline: a wrapping vfs.Backend that, via the
-// router's PreImager capability, retains a copy-on-write pre-image of every
+// router's PreImager capability, retains a copied pre-image of every
 // file a not-yet-cleared scoring group modifies or deletes. The paper's
 // thesis is that early detection bounds loss to a handful of files; pre-
 // image retention closes the remaining gap by making even those files

@@ -499,7 +499,7 @@ func (h *Handle) Read(buf []byte) (int, error) {
 		if end > int64(len(f.data)) {
 			end = int64(len(f.data))
 		}
-		data = f.data[h.offset:end]
+		data = f.data[h.offset:end:end] // clipped, as Memory.Read clips
 	} else {
 		var err error
 		data, _, err = h.e.m.b.Read(h.e.id, h.offset, int64(len(buf)))
