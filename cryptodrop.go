@@ -363,16 +363,13 @@ func WithMeasureCache(c *MeasureCache) Option {
 // WithCheckpoint makes the monitor's session durable: its complete scoring
 // state — scoreboard, file-state cache, detection latches, flight-recorder
 // trace — checkpoints into dir, recoverable with WithRestore. The monitor
-// drives its engine through the filesystem filter chain, not through
-// Session.Submit, so its durability is checkpoint-granular: state persists
-// on Close and on each Monitor.Checkpoint call (which requires no in-flight
-// filesystem operations, the same quiescence Close has). The write-ahead
-// log and the every interval engage for operations submitted through the
-// session's op-ingest path (Session.Submit), where every ingested op is
-// logged before it is applied and recovery replays the tail — host services
-// feeding Ops get crash-exact recovery, per-op. Durability I/O failures
-// never interrupt scoring; they surface through Session.DurabilityErr and
-// explicit Checkpoint calls.
+// submits every operation it scores to its session with the content the
+// engine reads, so each submitted op is write-ahead logged and recovery is
+// op-granular, from the log alone. A checkpoint truncates the log once the
+// ops submitted since the last one reach every (0: only on Shutdown and
+// Monitor.Checkpoint).
+// Durability I/O failures never interrupt scoring; they surface through
+// Session.DurabilityErr and explicit Checkpoint calls.
 func WithCheckpoint(dir string, every int) Option {
 	return func(o *options) {
 		o.checkpointDir = dir
@@ -407,7 +404,9 @@ func WithRecovery(vs *VersionStore) Option {
 }
 
 // WithDetectionHandler registers a callback invoked once per detection,
-// after the process family has been suspended.
+// after the process family has been suspended and before any rollback, in
+// the operation that crossed the threshold: it must not operate on the
+// monitored filesystem or call Monitor.Checkpoint, both of which wait for it.
 func WithDetectionHandler(fn func(Detection)) Option {
 	return func(o *options) { o.onDetection = fn }
 }
@@ -496,8 +495,6 @@ func (f enforcement) PreOp(op *vfs.Op) error {
 // PostOp is a no-op for the enforcement filter.
 func (enforcement) PostOp(op *vfs.Op) {}
 
-var _ filter.Filter = (*vfsadapter.Filter)(nil)
-
 // NewMonitor attaches CryptoDrop to fsys, scoring processes registered in
 // procs. The filesystem's interceptor is replaced with the monitor's filter
 // chain; other filters (e.g. a simulated anti-virus) may be attached to
@@ -544,7 +541,6 @@ func NewMonitor(fsys *vfs.FS, procs *proc.Table, opts ...Option) (*Monitor, erro
 	})
 	sess, err := m.hst.Open(MonitorSessionID, host.SessionConfig{
 		Engine:    o.cfg,
-		Source:    vfsadapter.Source(fsys),
 		Direct:    true,
 		Recoverer: recoverer,
 	})
@@ -559,7 +555,7 @@ func NewMonitor(fsys *vfs.FS, procs *proc.Table, opts ...Option) (*Monitor, erro
 	if err := m.chain.Attach(altitudeEnforce, enforcement{m}); err != nil {
 		return nil, fmt.Errorf("attach enforcement: %w", err)
 	}
-	if err := m.chain.Attach(altitudeEngine, vfsadapter.New(sess.Engine())); err != nil {
+	if err := m.chain.Attach(altitudeEngine, vfsadapter.New(fsys, sess)); err != nil {
 		return nil, fmt.Errorf("attach engine: %w", err)
 	}
 	fsys.SetInterceptor(m.chain)
@@ -620,13 +616,13 @@ func (m *Monitor) Chain() *filter.Chain { return m.chain }
 
 // Detections returns all detections in occurrence order, including any
 // restored from a checkpoint (WithRestore).
-func (m *Monitor) Detections() []Detection { return m.sess.Engine().Detections() }
+func (m *Monitor) Detections() []Detection { return m.sess.Detections() }
 
 // Report returns the scoreboard snapshot for pid.
-func (m *Monitor) Report(pid int) (ProcessReport, bool) { return m.sess.Engine().Report(pid) }
+func (m *Monitor) Report(pid int) (ProcessReport, bool) { return m.sess.Report(pid) }
 
 // Reports returns snapshots for every scored process, ordered by PID.
-func (m *Monitor) Reports() []ProcessReport { return m.sess.Engine().Reports() }
+func (m *Monitor) Reports() []ProcessReport { return m.sess.Reports() }
 
 // OpCount returns the number of protected-scope operations analysed.
 func (m *Monitor) OpCount() int64 { return m.sess.Engine().OpIndex() }

@@ -11,6 +11,7 @@ import (
 	"cryptodrop/internal/corpus"
 	"cryptodrop/internal/proc"
 	"cryptodrop/internal/ransomware"
+	"cryptodrop/internal/telemetry"
 	"cryptodrop/internal/vfs"
 )
 
@@ -344,18 +345,24 @@ func xorEncryptInPlace(t *testing.T, fs *vfs.FS, pid int, p string) {
 }
 
 // TestMonitorCheckpointRestore pins the facade durability contract: a
-// monitor checkpointed mid-attack and abandoned (the crash) restores into a
-// fresh monitor that finishes the attack with scoreboards, detections and
-// op counts bit-identical to an uninterrupted run on an identical machine.
+// monitor abandoned mid-attack (the crash) restores into a fresh monitor
+// whose scoreboards, detections and op count equal an uninterrupted run's
+// at the same point, op for op, and which then finishes the attack
+// bit-identically. The crash comes after an explicit Checkpoint, and with
+// no checkpoint at all, where the write-ahead log alone carries every op
+// the monitor submitted.
 func TestMonitorCheckpointRestore(t *testing.T) {
 	const files = 60
 	ctx := context.Background()
-	dir := t.TempDir()
 
-	// Uninterrupted reference.
+	// Uninterrupted reference, observed at the crash point and at the end.
 	fsRef, mRef, procsRef, monRef := newVictim(t, cryptodrop.WithoutEnforcement())
 	pidRef := procsRef.Spawn("attacker")
-	for _, e := range mRef.Entries[:files] {
+	for _, e := range mRef.Entries[:files/2] {
+		xorEncryptInPlace(t, fsRef, pidRef, e.Path)
+	}
+	crashOps, crashReports, crashDets := monRef.OpCount(), monRef.Reports(), monRef.Detections()
+	for _, e := range mRef.Entries[files/2 : files] {
 		xorEncryptInPlace(t, fsRef, pidRef, e.Path)
 	}
 	wantReports := monRef.Reports()
@@ -364,42 +371,88 @@ func TestMonitorCheckpointRestore(t *testing.T) {
 		t.Fatal("reference attack fired no detections")
 	}
 
-	// Durable run: encrypt half, checkpoint, crash (the monitor is simply
-	// abandoned — no Close).
-	fs, m, procs, mon := newVictim(t, cryptodrop.WithoutEnforcement(),
-		cryptodrop.WithCheckpoint(dir, 0))
+	for _, tc := range []struct {
+		name       string
+		checkpoint bool
+	}{
+		{"checkpointed", true},
+		{"wal-only", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			// Durable run: encrypt half, maybe checkpoint, crash (the
+			// monitor is simply abandoned — no Shutdown).
+			fs, m, procs, mon := newVictim(t, cryptodrop.WithoutEnforcement(),
+				cryptodrop.WithCheckpoint(dir, 0))
+			pid := procs.Spawn("attacker")
+			for _, e := range m.Entries[:files/2] {
+				xorEncryptInPlace(t, fs, pid, e.Path)
+			}
+			if tc.checkpoint {
+				if err := mon.Checkpoint(ctx); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := mon.Session().DurabilityErr(); err != nil {
+				t.Fatal(err)
+			}
+
+			// Recover on the same machine and finish the attack.
+			mon2, err := cryptodrop.NewMonitor(fs, procs, cryptodrop.WithRoot(m.Root),
+				cryptodrop.WithoutEnforcement(), cryptodrop.WithCheckpoint(dir, 0), cryptodrop.WithRestore())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := mon2.OpCount(); got != crashOps {
+				t.Fatalf("restored monitor at op %d, want %d", got, crashOps)
+			}
+			if !reflect.DeepEqual(mon2.Reports(), crashReports) {
+				t.Fatalf("restored reports diverge at the crash:\ngot  %+v\nwant %+v", mon2.Reports(), crashReports)
+			}
+			if !reflect.DeepEqual(mon2.Detections(), crashDets) {
+				t.Fatalf("restored detections diverge at the crash:\ngot  %+v\nwant %+v", mon2.Detections(), crashDets)
+			}
+			for _, e := range m.Entries[files/2 : files] {
+				xorEncryptInPlace(t, fs, pid, e.Path)
+			}
+			if !reflect.DeepEqual(mon2.Reports(), wantReports) {
+				t.Fatalf("restored reports diverge:\ngot  %+v\nwant %+v", mon2.Reports(), wantReports)
+			}
+			if !reflect.DeepEqual(mon2.Detections(), wantDets) {
+				t.Fatalf("restored detections diverge:\ngot  %+v\nwant %+v", mon2.Detections(), wantDets)
+			}
+
+			// A drifted configuration must refuse the restore with the typed
+			// error.
+			if _, err := cryptodrop.NewMonitor(vfs.New(), proc.NewTable(), cryptodrop.WithRoot(m.Root),
+				cryptodrop.WithNonUnionThreshold(150),
+				cryptodrop.WithCheckpoint(dir, 0), cryptodrop.WithRestore()); !errors.Is(err, cryptodrop.ErrSnapshotMismatch) {
+				t.Fatalf("drifted restore: got %v, want ErrSnapshotMismatch", err)
+			}
+		})
+	}
+}
+
+// TestMonitorIngestsThroughSession pins the facade's one ingest path: every
+// operation the monitor scores goes through its host session, so the
+// session's op count and its per-session telemetry series see the facade's
+// traffic.
+func TestMonitorIngestsThroughSession(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	fs, m, procs, mon := newVictim(t, cryptodrop.WithTelemetry(reg))
 	pid := procs.Spawn("attacker")
-	for _, e := range m.Entries[:files/2] {
+	for _, e := range m.Entries[:3] {
 		xorEncryptInPlace(t, fs, pid, e.Path)
 	}
-	if err := mon.Checkpoint(ctx); err != nil {
-		t.Fatal(err)
+	ingested := mon.Session().Ingested()
+	if ingested == 0 {
+		t.Fatalf("session ingested nothing after %d scored operations", mon.OpCount())
 	}
-	opsAtCrash := mon.OpCount()
-
-	// Recover on the same machine and finish the attack.
-	mon2, err := cryptodrop.NewMonitor(fs, procs, cryptodrop.WithRoot(m.Root),
-		cryptodrop.WithoutEnforcement(), cryptodrop.WithCheckpoint(dir, 0), cryptodrop.WithRestore())
-	if err != nil {
-		t.Fatal(err)
+	series := `host_session_events_total{session="` + cryptodrop.MonitorSessionID + `"}`
+	if got := reg.Snapshot().Counters[series]; got != ingested {
+		t.Fatalf("%s = %d, want the session's ingested count %d", series, got, ingested)
 	}
-	if got := mon2.OpCount(); got != opsAtCrash {
-		t.Fatalf("restored monitor at op %d, want %d", got, opsAtCrash)
-	}
-	for _, e := range m.Entries[files/2 : files] {
-		xorEncryptInPlace(t, fs, pid, e.Path)
-	}
-	if !reflect.DeepEqual(mon2.Reports(), wantReports) {
-		t.Fatalf("restored reports diverge:\ngot  %+v\nwant %+v", mon2.Reports(), wantReports)
-	}
-	if !reflect.DeepEqual(mon2.Detections(), wantDets) {
-		t.Fatalf("restored detections diverge:\ngot  %+v\nwant %+v", mon2.Detections(), wantDets)
-	}
-
-	// A drifted configuration must refuse the restore with the typed error.
-	if _, err := cryptodrop.NewMonitor(vfs.New(), proc.NewTable(), cryptodrop.WithRoot(m.Root),
-		cryptodrop.WithNonUnionThreshold(150),
-		cryptodrop.WithCheckpoint(dir, 0), cryptodrop.WithRestore()); !errors.Is(err, cryptodrop.ErrSnapshotMismatch) {
-		t.Fatalf("drifted restore: got %v, want ErrSnapshotMismatch", err)
+	if rep, ok := mon.Report(pid); !ok || rep.FilesTransformed != 3 {
+		t.Fatalf("report for the attacker = %+v (ok=%v), want 3 transformed files", rep, ok)
 	}
 }

@@ -26,9 +26,9 @@ import (
 // it.
 //
 // Create an Engine with New and feed it Events through PreEvent/Handle —
-// directly, or via one of the backend adapters (internal/vfsadapter for the
-// filter chain, livewatch.Feeder through a host session for a real
-// directory, trace.EventReplayer for recorded streams). All methods are safe for concurrent use. The
+// in production through a host session, fed by the backend adapters
+// (internal/vfsadapter for the filter chain, livewatch.Feeder for a real
+// directory), or from trace.EventReplayer for recorded streams. All methods are safe for concurrent use. The
 // scoreboard is sharded by scoring-group PID and the file-state cache by
 // file ID, so operations from distinct processes on distinct files never
 // contend on a shared lock; see DESIGN.md ("Concurrency model") for the
@@ -37,6 +37,8 @@ import (
 type Engine struct {
 	cfg Config
 	src ContentSource
+	// rootDir prefixes every path under a protected root other than "/".
+	rootDir string
 
 	// reg is the effective indicator registry (Config.Indicators, or the
 	// default five); pol is the detection policy.
@@ -112,6 +114,7 @@ func New(cfg Config, src ContentSource) *Engine {
 	e := &Engine{
 		cfg:          cfg,
 		src:          src,
+		rootDir:      cfg.ProtectedRoot + "/",
 		reg:          reg,
 		pol:          pol,
 		feats:        feats,
@@ -168,7 +171,7 @@ func (e *Engine) inRoot(p string) bool {
 	if root == "/" {
 		return strings.HasPrefix(p, "/")
 	}
-	return p == root || strings.HasPrefix(p, root+"/")
+	return p == root || strings.HasPrefix(p, e.rootDir)
 }
 
 // lockProc resolves pid to its scoring group, locks the owning scoreboard
@@ -201,37 +204,81 @@ func (e *Engine) lockProc(pid int) (ps *procState, sh *procShard) {
 // When no registered unit consumes file content, PreEvent does nothing —
 // the ContentSource is never consulted.
 func (e *Engine) PreEvent(ev Event) {
-	if !e.wantContent() {
-		return
-	}
-	switch ev.Kind {
-	case EvOpen:
-		if ev.Flags&EvWriteIntent != 0 && ev.Size > 0 && e.inRoot(ev.Path) {
-			e.snapshot(ev.FileID)
-		}
-	case EvWrite:
-		// Fallback for handles opened before the engine attached.
-		if ev.Size > 0 && e.inRoot(ev.Path) {
-			e.snapshot(ev.FileID)
-		}
-	case EvRename:
-		if ev.ReplacedID != 0 && e.inRoot(ev.NewPath) {
-			e.snapshot(ev.ReplacedID)
-		}
-		if e.inRoot(ev.Path) && !e.inRoot(ev.NewPath) {
-			// The file is leaving the protected tree (Class B move-out):
-			// capture its state so the return trip can be compared.
-			e.snapshot(ev.FileID)
+	ids, n := e.PreReads(&ev)
+	for _, id := range ids[:n] {
+		if st := e.measure(id, true); st != nil {
+			e.files.storeIfMissing(id, st)
 		}
 	}
 }
+
+// preReads and HandleReads are the one staging rule: the files PreEvent
+// snapshots for ev and the one Handle measures, which producers staging
+// content in their ops stage (PreReads, HandleReads, StaticPreReads). A nil
+// e gives the static form: any path may lie inside or outside the root.
+func (e *Engine) preReads(ev *Event) (ids [2]uint64, n int) {
+	in := func(p string) bool { return e == nil || e.inRoot(p) }
+	switch ev.Kind {
+	case EvOpen:
+		if ev.Flags&EvWriteIntent != 0 && ev.Size > 0 && in(ev.Path) {
+			ids[0], n = ev.FileID, 1
+		}
+	case EvWrite:
+		// Fallback for handles opened before the engine attached.
+		if ev.Size > 0 && in(ev.Path) {
+			ids[0], n = ev.FileID, 1
+		}
+	case EvRename:
+		if ev.ReplacedID != 0 && in(ev.NewPath) {
+			ids[0], n = ev.ReplacedID, 1
+		}
+		if in(ev.Path) && (e == nil || !e.inRoot(ev.NewPath)) {
+			// The file is leaving the protected tree (Class B move-out):
+			// capture its state so the return trip can be compared.
+			ids[n] = ev.FileID
+			n++
+		}
+	}
+	return ids, n
+}
+
+// PreReads returns the files PreEvent(ev) would read now: those it
+// snapshots that are not measured yet, so only a first touch names any.
+func (e *Engine) PreReads(ev *Event) (ids [2]uint64, n int) {
+	if !e.wantContent() {
+		return ids, 0
+	}
+	all, m := e.preReads(ev)
+	for _, id := range all[:m] {
+		if !e.files.has(id) {
+			ids[n] = id
+			n++
+		}
+	}
+	return ids, n
+}
+
+// HandleReads reports whether Handle(ev) scores ev at all, and whether it
+// then measures ev.FileID: a completed rewrite, or a rename into the
+// protected tree that replaces a file or returns one with measured state.
+func (e *Engine) HandleReads(ev *Event) (scored, measured bool) {
+	if !e.inRoot(ev.Path) && !(ev.Kind == EvRename && e.inRoot(ev.NewPath)) {
+		return false, false
+	}
+	return true, e.wantContent() && (ev.Kind == EvClose && ev.Wrote || ev.Kind == EvRename &&
+		e.inRoot(ev.NewPath) && (ev.ReplacedID != 0 || e.files.has(ev.FileID)))
+}
+
+// StaticPreReads returns the files PreEvent(ev) may read under any
+// protected root, measured or not.
+func StaticPreReads(ev *Event) ([2]uint64, int) { return (*Engine)(nil).preReads(ev) }
 
 // Handle measures the completed operation and updates the scoreboard. It is
 // the engine's single entry point for scoring: every backend funnels its
 // native notifications here as Events.
 func (e *Engine) Handle(ev Event) {
-	relevant := e.inRoot(ev.Path) || (ev.Kind == EvRename && e.inRoot(ev.NewPath))
-	if !relevant {
+	scored, measured := e.HandleReads(&ev)
+	if !scored {
 		return
 	}
 	// One sampling decision covers the whole operation: the op span plus
@@ -242,20 +289,16 @@ func (e *Engine) Handle(ev Event) {
 	if traced {
 		opStart = time.Now()
 	}
+	// Transformation-evaluating ops (a completed rewrite, a rename into
+	// the protected tree) need the file's current content. It is read and
+	// measured before the shard lock is taken, so a concurrent delete or
+	// rename can never mutate the file cache under a lock the reader holds.
+	var cur *fileState
+	if measured {
+		cur = e.measure(ev.FileID, false)
+	}
 	ps, sh := e.lockProc(ev.PID)
 	ps.spanOn = traced
-
-	// Transformation-evaluating ops (a completed rewrite, a rename into
-	// the protected tree) need the file's current content. The read and
-	// the measurement happen with the shard lock released, so a concurrent
-	// delete or rename can never mutate the file cache under a lock the
-	// reader believes it still holds.
-	var cur *fileState
-	if e.needsContent(&ev) {
-		sh.mu.Unlock()
-		cur = e.measure(ev.FileID, false)
-		sh.mu.Lock()
-	}
 
 	opIdx := e.opIndex.Add(1)
 	switch ev.Kind {

@@ -38,16 +38,18 @@ func setup(t testing.TB, cfg Config) (*vfs.FS, *Engine) {
 	return fs, eng
 }
 
-// testSource exposes a vfs as the engine's ContentSource. It mirrors
-// internal/vfsadapter, which cannot be imported here (it imports core); the
-// cross-backend conformance suite in internal/experiments pins that the real
-// adapter behaves identically.
+// testSource exposes a vfs as the engine's ContentSource, reading at
+// measurement time the bytes internal/vfsadapter stages into its host ops
+// (the adapter cannot be imported here: it imports core); the cross-backend
+// conformance suite in internal/experiments pins that the real adapter
+// behaves identically.
 type testSource struct{ fs *vfs.FS }
 
 func (s testSource) Content(id uint64) ([]byte, error) { return s.fs.ReadFileRawByID(id) }
 
 // interceptorFunc adapts the engine to vfs.Interceptor directly for tests,
-// translating ops the same way internal/vfsadapter does.
+// translating ops the same way internal/vfsadapter does before it submits
+// them to a host session.
 type interceptorFunc struct{ e *Engine }
 
 func (i interceptorFunc) PreOp(op *vfs.Op) error { i.e.PreEvent(testEventFromOp(op)); return nil }

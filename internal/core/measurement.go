@@ -107,35 +107,6 @@ func (e *Engine) measure(id uint64, skipEmpty bool) *fileState {
 // content.
 func (e *Engine) wantContent() bool { return e.feats.Has(indicator.FeatContent) }
 
-// snapshot caches the current content state of the file with the given ID
-// if not already cached. The content read and measurement run without any
-// engine lock held.
-func (e *Engine) snapshot(id uint64) {
-	if e.files.has(id) {
-		return
-	}
-	if st := e.measure(id, true); st != nil {
-		e.files.storeIfMissing(id, st)
-	}
-}
-
-// needsContent reports whether the operation evaluates a file
-// transformation and therefore needs the file's current content measured;
-// the caller holds the proc-shard lock. Always false when no registered
-// unit consumes content.
-func (e *Engine) needsContent(ev *Event) bool {
-	if !e.wantContent() {
-		return false
-	}
-	switch ev.Kind {
-	case EvClose:
-		return ev.Wrote
-	case EvRename:
-		return e.inRoot(ev.NewPath) && (ev.ReplacedID != 0 || e.files.has(ev.FileID))
-	}
-	return false
-}
-
 // minReliableFeatures is the feature count above which a digest is always
 // trusted for a dissimilarity verdict.
 const minReliableFeatures = 8

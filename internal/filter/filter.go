@@ -4,9 +4,9 @@
 // as the paper notes — CryptoDrop's behaviour does not depend on its position
 // relative to other filters (e.g. anti-virus), which the tests verify.
 //
-// The detection engine is not itself a Filter: internal/vfsadapter wraps it,
-// translating each vfs.Op callback into the engine's backend-neutral
-// core.Event model. The chain only ever sees that thin adapter.
+// The detection engine is not itself a Filter: internal/vfsadapter submits
+// each vfs.Op callback to the engine's host session as a core.Event. The
+// chain only ever sees that thin adapter.
 package filter
 
 import (

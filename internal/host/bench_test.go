@@ -30,6 +30,36 @@ func (s benchSource) Content(uint64) ([]byte, error) { return s.content, nil }
 func BenchmarkSessionIngest(b *testing.B) {
 	b.Run("direct", func(b *testing.B) { benchSessionIngest(b, true) })
 	b.Run("queued", func(b *testing.B) { benchSessionIngest(b, false) })
+	b.Run("direct-op", benchDirectOp)
+}
+
+// benchDirectOp submits one content-free in-root open per Submit on a
+// direct session: the shape cryptodrop.Monitor's filter submits after most
+// filesystem operations (its PreEvent is a zero-Kind event, so only Handle
+// runs), and so the cost the session adds to every facade operation.
+func benchDirectOp(b *testing.B) {
+	const path = "/Users/victim/Documents/a.docx"
+	sess, err := New(Config{}).Open("bench", SessionConfig{
+		Engine: core.DefaultConfig("/Users/victim/Documents"),
+		Direct: true,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var handleOnly core.Event
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op := Op{
+			Event: core.Event{Kind: core.EvOpen, PID: 1, Path: path, FileID: 1,
+				Flags: core.EvReadIntent},
+			PreEvent: &handleOnly,
+		}
+		if err := sess.Submit(ctx, op); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 func benchSessionIngest(b *testing.B, direct bool) {

@@ -689,3 +689,78 @@ func TestCheckpointOnShutdownAndErrors(t *testing.T) {
 		t.Fatalf("stalled Checkpoint = %v, want DeadlineExceeded", err)
 	}
 }
+
+// TestZeroKindPreEventRunsOnlyHandle pins the Op rule that a PreEvent with a
+// zero Kind runs no pre-operation side, live and after a WAL round trip. The
+// first op's Event is a write-open of a file whose previous version is
+// staged in Pre: handed to PreEvent (a nil PreEvent), it would snapshot that
+// version and the close would score as a transformation. With a zero-Kind
+// PreEvent only Handle runs, so the close scores a new file.
+func TestZeroKindPreEventRunsOnlyHandle(t *testing.T) {
+	const pid = 7
+	const path = "/docs/f1.txt"
+	var handleOnly core.Event
+	workload := func(pre *core.Event) []Op {
+		return []Op{
+			{
+				Event: core.Event{Kind: core.EvOpen, PID: pid, Path: path, FileID: 1,
+					Flags: core.EvWriteIntent, Size: 2048},
+				PreEvent: pre,
+				Pre:      map[uint64][]byte{1: plainContent(1, 2048)},
+				Evict:    []uint64{1},
+			},
+			{
+				Event:    core.Event{Kind: core.EvClose, PID: pid, Path: path, FileID: 1, Wrote: true},
+				PreEvent: pre,
+				Post:     map[uint64][]byte{1: cipherContent(1, 2048)},
+				Evict:    []uint64{1},
+			},
+		}
+	}
+	engCfg := func() core.Config { return core.DefaultConfig("/docs") }
+	ops := workload(&handleOnly)
+	want := runReference(t, SessionConfig{Engine: engCfg(), Direct: true}, ops, 1)
+	both := runReference(t, SessionConfig{Engine: engCfg(), Direct: true}, workload(nil), 1)
+	if len(want.Reports) != 1 || want.Reports[0].FilesTransformed != 0 {
+		t.Fatalf("zero-Kind PreEvent ran a pre-operation side: %+v", want.Reports)
+	}
+	if len(both.Reports) != 1 || both.Reports[0].FilesTransformed != 1 {
+		t.Fatalf("control without the zero-Kind PreEvent scored no transformation: %+v", both.Reports)
+	}
+
+	// Durable ingest, one op per Submit, then a crash with no checkpoint: the
+	// WAL alone must carry the zero-Kind PreEvent through to the replay.
+	dir := t.TempDir()
+	h1 := New(Config{CheckpointDir: dir})
+	s1, err := h1.Open("v", SessionConfig{Engine: engCfg(), Direct: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	submitBatched(t, s1, ops, 1)
+	_, walPath := checkpointPaths(dir, "v")
+	recs, err := readWAL(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != len(ops) {
+		t.Fatalf("WAL holds %d records, want one per submitted op (%d)", len(recs), len(ops))
+	}
+	for i, rec := range recs {
+		if pe := rec.ops[0].PreEvent; pe == nil || pe.Kind != 0 {
+			t.Fatalf("record %d decodes PreEvent %+v, want a zero-Kind event", i, pe)
+		}
+	}
+	h2 := New(Config{CheckpointDir: dir, Restore: true})
+	s2, err := h2.Open("v", SessionConfig{Engine: engCfg(), Direct: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := h2.CloseSession(context.Background(), "v")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s2.DurabilityErr(); err != nil {
+		t.Fatal(err)
+	}
+	requireIdentical(t, rep, want)
+}

@@ -300,16 +300,18 @@ func (h *Host) detach(id string) (*Session, error) {
 
 // EvictIdleSessions closes every session that has not ingested an event for
 // at least idle, returning the final reports of the sessions that drained
-// (sorted by session ID). Pass zero idle to evict everything. The drain
+// (sorted by session ID). Pass zero idle to evict everything. Activity is
+// dated by these checks and Snapshot: never early, at most a check late. The drain
 // waits are bounded by ctx: on expiry the already-drained reports return
 // alongside ctx.Err(), and the remaining victims — sealed either way — keep
 // draining in the background.
 func (h *Host) EvictIdleSessions(ctx context.Context, idle time.Duration) ([]SessionReport, error) {
-	cutoff := time.Now().Add(-idle).UnixNano()
+	now := time.Now().UnixNano()
+	cutoff := now - int64(idle)
 	h.mu.Lock()
 	var victims []*Session
 	for id, s := range h.sessions {
-		if s.lastActive.Load() <= cutoff {
+		if s.activeAt(now) <= cutoff {
 			victims = append(victims, s)
 			delete(h.sessions, id)
 			s.unregisterTelemetry()

@@ -50,7 +50,8 @@ type SessionSnapshot struct {
 	// after degradation.
 	Ingested  int64 `json:"ingested"`
 	ShedBytes int64 `json:"shedBytes"`
-	// IdleNs is how long ago the session last applied an op.
+	// IdleNs is how long ago a snapshot or idle check first saw the
+	// session's op count where it is now (never more than the true idle).
 	IdleNs int64 `json:"idleNs"`
 	// Detections counts the session's detections; LastDetection describes
 	// the most recent one (nil when none fired).
@@ -132,7 +133,7 @@ func (h *Host) Snapshot() Snapshot {
 			Saturations:   s.saturations.Load(),
 			Ingested:      s.ingested.Load(),
 			ShedBytes:     s.shedBytes.Load(),
-			IdleNs:        now - s.lastActive.Load(),
+			IdleNs:        now - s.activeAt(now),
 			Detections:    s.detCount.Load(),
 			LastDetection: s.lastDet.Load(),
 		}

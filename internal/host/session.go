@@ -21,7 +21,7 @@ type SessionConfig struct {
 	Engine core.Config
 	// Source resolves file content the producer did not stage in Op.Pre /
 	// Op.Post. Producers that carry every needed snapshot in their Ops
-	// (e.g. trace replay) leave it nil.
+	// (trace replay, the cryptodrop.Monitor) leave it nil.
 	Source core.ContentSource
 	// QueueDepth overrides the host's per-session queue capacity, in
 	// batches. Zero inherits the host default.
@@ -57,6 +57,9 @@ type SessionConfig struct {
 // the version about to be destroyed) and Post carries post-operation
 // content (what Handle measures: the completed transformation). IDs absent
 // from the overlay fall through to SessionConfig.Source.
+// Engine.PreEvent ignores a zero-Kind event, so an Op whose PreEvent has a
+// zero Kind runs only Handle: the second of the two ops cryptodrop.Monitor
+// submits per operation, one before it mutates the file and one after.
 type Op struct {
 	// Event is the operation handed to Engine.Handle. An Op with a zero
 	// Event.Kind runs only its PreEvent side — a baseline-only op, used to
@@ -131,9 +134,9 @@ type Session struct {
 	// side across its (possibly blocking) send, so seal's write lock cannot
 	// proceed while any sender is in flight — close(queue) never races a
 	// send. Workers drain the queue independently, so blocked senders
-	// always finish.
+	// always finish. Direct sessions have no queue and read closed alone.
 	qmu    sync.RWMutex
-	closed bool
+	closed atomic.Bool
 	queue  chan batch
 	done   chan struct{}
 
@@ -142,6 +145,11 @@ type Session struct {
 	ingested   atomic.Int64
 	shedBytes  atomic.Int64
 	lastActive atomic.Int64
+
+	// actMu guards seenIngested, the op count activeAt last saw: activity
+	// is dated when observed, so applying an op reads no clock.
+	actMu        sync.Mutex
+	seenIngested int64
 
 	// saturations counts submissions (blocking or not) that found the queue
 	// full; detCount and lastDet track the session's detections for the
@@ -281,6 +289,18 @@ func newSession(h *Host, id string, sc SessionConfig) (*Session, error) {
 		go s.worker()
 	}
 	return s, nil
+}
+
+// activeAt returns when the session was last seen ingesting: now, if its op
+// count moved since the previous check, so idleness is never overstated.
+func (s *Session) activeAt(now int64) int64 {
+	s.actMu.Lock()
+	defer s.actMu.Unlock()
+	if n := s.ingested.Load(); n != s.seenIngested {
+		s.seenIngested = n
+		s.lastActive.Store(now)
+	}
+	return s.lastActive.Load()
 }
 
 // openDurable arms the session's checkpoint/WAL machinery and, when restore
@@ -468,13 +488,13 @@ func (s *Session) Checkpoint(ctx context.Context) error {
 	if s.direct {
 		s.directMu.Lock()
 		defer s.directMu.Unlock()
-		if s.isClosed() {
+		if s.closed.Load() {
 			return fmt.Errorf("host: session %q: checkpoint: %w", s.id, ErrSessionClosed)
 		}
 		return s.checkpointNow()
 	}
 	s.qmu.RLock()
-	if s.closed {
+	if s.closed.Load() {
 		s.qmu.RUnlock()
 		return fmt.Errorf("host: session %q: checkpoint: %w", s.id, ErrSessionClosed)
 	}
@@ -497,8 +517,8 @@ func (s *Session) Checkpoint(ctx context.Context) error {
 // ID returns the session's identifier.
 func (s *Session) ID() string { return s.id }
 
-// Engine exposes the session's detection engine for reports and direct
-// (unqueued) feeding — the cryptodrop.Monitor fast path.
+// Engine exposes the session's detection engine, for state the session
+// does not report itself. Ops reach it through Submit.
 func (s *Session) Engine() *core.Engine { return s.eng }
 
 // Degraded reports whether the session has degraded to payload-blind
@@ -515,7 +535,18 @@ func (s *Session) Ingested() int64 { return s.ingested.Load() }
 // ctx bounds it. A sustained streak of saturated submissions degrades the
 // session to payload-blind scoring (see the package doc). In Direct mode
 // the ops are applied synchronously before Submit returns.
-func (s *Session) Submit(ctx context.Context, ops ...Op) error {
+func (s *Session) Submit(ctx context.Context, ops ...Op) error { return s.submit(ctx, ops, true) }
+
+// TrySubmit queues ops without blocking, failing with ErrOverloaded when
+// the queue is full. Overloads count toward the degradation streak just
+// like blocking waits. In Direct mode it behaves exactly like Submit.
+func (s *Session) TrySubmit(ops ...Op) error { return s.submit(context.Background(), ops, false) }
+
+// submit applies ops (Direct) or queues a copy of them, so that ops never
+// escape and a direct submitter passing one op allocates nothing. A full
+// queue is a saturation: with wait it blocks until the worker makes room or
+// ctx ends, and without it fails with ErrOverloaded.
+func (s *Session) submit(ctx context.Context, ops []Op, wait bool) error {
 	if len(ops) == 0 {
 		return nil
 	}
@@ -524,10 +555,10 @@ func (s *Session) Submit(ctx context.Context, ops ...Op) error {
 	}
 	s.qmu.RLock()
 	defer s.qmu.RUnlock()
-	if s.closed {
+	if s.closed.Load() {
 		return fmt.Errorf("host: session %q: %w", s.id, ErrSessionClosed)
 	}
-	b := batch{ops: ops}
+	b := batch{ops: append([]Op(nil), ops...)}
 	if s.spans != nil {
 		b.enq = time.Now()
 	}
@@ -537,45 +568,19 @@ func (s *Session) Submit(ctx context.Context, ops ...Op) error {
 		return nil
 	default:
 	}
-	// Saturated: count the wait, grow the streak, maybe degrade, then
-	// block until the worker makes room.
-	s.host.backpressures.Inc()
-	s.host.bpCount.Add(1)
+	if wait {
+		s.host.backpressures.Inc()
+		s.host.bpCount.Add(1)
+	}
 	s.noteSaturation()
+	if !wait {
+		return fmt.Errorf("host: session %q: %w", s.id, ErrOverloaded)
+	}
 	select {
 	case s.queue <- b:
 		return nil
 	case <-ctx.Done():
 		return fmt.Errorf("host: session %q: submit: %w", s.id, ctx.Err())
-	}
-}
-
-// TrySubmit queues ops without blocking, failing with ErrOverloaded when
-// the queue is full. Overloads count toward the degradation streak just
-// like blocking waits. In Direct mode it behaves exactly like Submit.
-func (s *Session) TrySubmit(ops ...Op) error {
-	if len(ops) == 0 {
-		return nil
-	}
-	if s.direct {
-		return s.submitDirect(ops)
-	}
-	s.qmu.RLock()
-	defer s.qmu.RUnlock()
-	if s.closed {
-		return fmt.Errorf("host: session %q: %w", s.id, ErrSessionClosed)
-	}
-	b := batch{ops: ops}
-	if s.spans != nil {
-		b.enq = time.Now()
-	}
-	select {
-	case s.queue <- b:
-		s.satStreak.Store(0)
-		return nil
-	default:
-		s.noteSaturation()
-		return fmt.Errorf("host: session %q: %w", s.id, ErrOverloaded)
 	}
 }
 
@@ -585,7 +590,7 @@ func (s *Session) TrySubmit(ops ...Op) error {
 func (s *Session) submitDirect(ops []Op) error {
 	s.directMu.Lock()
 	defer s.directMu.Unlock()
-	if s.isClosed() {
+	if s.closed.Load() {
 		return fmt.Errorf("host: session %q: %w", s.id, ErrSessionClosed)
 	}
 	s.apply(ops)
@@ -618,7 +623,7 @@ func (s *Session) noteSaturation() {
 func (s *Session) Flush(ctx context.Context) error {
 	if !s.direct {
 		s.qmu.RLock()
-		if s.closed {
+		if s.closed.Load() {
 			s.qmu.RUnlock()
 			return fmt.Errorf("host: session %q: flush: %w", s.id, ErrSessionClosed)
 		}
@@ -654,23 +659,16 @@ func (s *Session) Detections() []core.Detection { return s.eng.Detections() }
 // It counts only ops the worker has already applied, like Report.
 func (s *Session) DetectionCount() int64 { return s.detCount.Load() }
 
-// isClosed reports whether seal ran.
-func (s *Session) isClosed() bool {
-	s.qmu.RLock()
-	defer s.qmu.RUnlock()
-	return s.closed
-}
-
 // seal marks the session closed and, for queued sessions, closes the queue
 // so the worker exits after draining. The write lock cannot be acquired
 // while any submitter holds the read side, so no send can race the close.
 func (s *Session) seal() {
 	s.qmu.Lock()
 	defer s.qmu.Unlock()
-	if s.closed {
+	if s.closed.Load() {
 		return
 	}
-	s.closed = true
+	s.closed.Store(true)
 	if !s.direct {
 		close(s.queue)
 	}
@@ -786,16 +784,15 @@ func (s *Session) run(ops []Op) {
 	}
 	s.ingested.Add(int64(len(ops)))
 	s.events.Add(int64(len(ops)))
-	s.lastActive.Store(time.Now().UnixNano())
 }
 
 // applyOne runs a single op through the engine.
 func (s *Session) applyOne(op *Op) {
 	s.overlay.install(op.Pre)
-	if op.PreEvent != nil {
-		s.eng.PreEvent(*op.PreEvent)
-	} else {
+	if pre := op.PreEvent; pre == nil {
 		s.eng.PreEvent(op.Event)
+	} else if pre.Kind != 0 {
+		s.eng.PreEvent(*pre)
 	}
 	s.overlay.install(op.Post)
 	if ev := op.Event; ev.Kind != 0 {

@@ -105,7 +105,8 @@ func (rec *Record) event() core.Event {
 // whose content each may read.
 type step struct {
 	pre, ev core.Event
-	// preIDs[:nPre] are the files whose content PreEvent may read.
+	// preIDs[:nPre] are the files PreEvent may read (core.StaticPreReads).
+	// They include a rename's moving file, whose bytes Handle reads too.
 	preIDs [2]uint64
 	nPre   int
 	// post marks a close: Handle measures ev.FileID as finish leaves it.
@@ -136,7 +137,6 @@ func (r *EventReplayer) begin(rec *Record) (step, bool) {
 		// The live PreOp saw the size before any truncation; the record
 		// carries the post-truncation size.
 		preSize, _ = r.mem.Stat(id)
-		st.preIDs[0], st.nPre = st.ev.FileID, 1
 	case core.EvRead, core.EvWrite:
 		// The payload is authoritative: it is exactly what the live engine
 		// saw, whether or not the file is in the store.
@@ -145,29 +145,17 @@ func (r *EventReplayer) begin(rec *Record) (step, bool) {
 			return st, false
 		}
 		st.ev.Data = data
-		if st.ev.Kind == core.EvWrite {
-			// PreEvent may snapshot the pre-write content (the fallback for
-			// handles opened before the engine attached).
-			st.preIDs[0], st.nPre = st.ev.FileID, 1
-		}
 	case core.EvClose:
 		// A file missing from the store (deleted under an open handle)
 		// stays missing, so the live close's failed read is reproduced.
 		st.post = true
-	case core.EvDelete:
-	case core.EvRename:
-		// PreEvent snapshots the replaced and the moving file; the bytes do
-		// not change across the rename, so Handle reads the same.
-		if rec.ReplacedID != 0 {
-			st.preIDs[0], st.nPre = rec.ReplacedID, 1
-		}
-		st.preIDs[st.nPre] = st.ev.FileID
-		st.nPre++
+	case core.EvDelete, core.EvRename:
 	default:
 		return st, false
 	}
 	st.pre = st.ev
 	st.pre.Size = preSize
+	st.preIDs, st.nPre = core.StaticPreReads(&st.pre)
 	return st, true
 }
 

@@ -10,10 +10,9 @@ import (
 	"cryptodrop/internal/vfs/versioned"
 )
 
-// backends are the two routes a write takes into Memory: the router's
-// direct path over a plain Memory mount, and Memory.Write through the
-// Backend interface under the versioned wrap that every recovering Monitor
-// installs.
+// backends are the two mounts a write reaches Memory through: a plain
+// Memory mount, and the versioned wrap that every recovering Monitor
+// installs over it.
 var backends = []struct {
 	name  string
 	newFS func() *vfs.FS

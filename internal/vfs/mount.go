@@ -8,22 +8,16 @@ import (
 
 // mount binds a namespace prefix to a backend. pi caches the backend's
 // optional PreImager capability so the hot path pays one nil check, not a
-// type assertion per operation. mem is set when the backend is the plain
-// in-package Memory store: entries then carry a direct *memFile reference
-// and the router skips the interface round-trip entirely — wrapping (the
-// versioned extension) or any foreign backend clears it, restoring the
-// full Backend path with its PreImage hook.
+// type assertion per operation.
 type mount struct {
 	prefix string
 	b      Backend
 	pi     PreImager
-	mem    *Memory
 }
 
 func newMount(prefix string, b Backend) *mount {
 	m := &mount{prefix: prefix, b: b}
 	m.pi, _ = b.(PreImager)
-	m.mem, _ = b.(*Memory)
 	return m
 }
 
@@ -86,23 +80,13 @@ func (fs *FS) Mounts() []string {
 // the seam extensions use to interpose on content storage (the versioned
 // pre-image extension wraps every mount on monitor attach and unwraps on
 // shutdown). Existing files keep their mounts; only the backend pointer and
-// its cached capabilities change. Every entry's direct-memory reference is
-// re-resolved: a wrapped mount must see all traffic through its Backend
-// interface, and unwrapping restores the fast path.
+// its cached capabilities change.
 func (fs *FS) WrapMounts(wrap func(prefix string, b Backend) Backend) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	for _, m := range fs.mounts {
 		m.b = wrap(m.prefix, m.b)
 		m.pi, _ = m.b.(PreImager)
-		m.mem, _ = m.b.(*Memory)
-	}
-	for _, e := range fs.ids {
-		if e.m.mem != nil {
-			e.mf = e.m.mem.files[e.id]
-		} else {
-			e.mf = nil
-		}
 	}
 }
 

@@ -158,10 +158,6 @@ type entry struct {
 	size     int64
 	readOnly bool
 	m        *mount
-	// mf short-circuits the Backend interface when the mount's backend is
-	// the plain in-package Memory store (the default); nil whenever the
-	// mount is wrapped or foreign, which forces the full interface path.
-	mf *memFile
 }
 
 func (*entry) isNode() {}
@@ -441,21 +437,14 @@ func (fs *FS) Open(pid int, p string, flags OpenFlag) (*Handle, error) {
 		if err := e.m.b.Open(e.id, e.m.rel(p), true, false); err != nil {
 			return nil, err
 		}
-		if e.m.mem != nil {
-			e.mf = e.m.mem.files[e.id]
-		}
 		fs.nextID++
 		d.children[base] = e
 		fs.ids[e.id] = e
 	}
 	if flags&Truncate != 0 && flags&WriteOnly != 0 && e.size > 0 {
-		if e.mf != nil {
-			e.mf.data, e.mf.shared = nil, false
-		} else {
-			fs.preImage(e, p, pid, OpOpen)
-			if err := e.m.b.Open(e.id, e.m.rel(p), false, true); err != nil {
-				return nil, err
-			}
+		fs.preImage(e, p, pid, OpOpen)
+		if err := e.m.b.Open(e.id, e.m.rel(p), false, true); err != nil {
+			return nil, err
 		}
 		e.size = 0
 		op.Size = 0
@@ -493,19 +482,9 @@ func (h *Handle) Read(buf []byte) (int, error) {
 	if err := h.fs.pre(op); err != nil {
 		return 0, err
 	}
-	var data []byte
-	if f := h.e.mf; f != nil {
-		end := h.offset + int64(len(buf))
-		if end > int64(len(f.data)) {
-			end = int64(len(f.data))
-		}
-		data = f.data[h.offset:end:end] // clipped, as Memory.Read clips
-	} else {
-		var err error
-		data, _, err = h.e.m.b.Read(h.e.id, h.offset, int64(len(buf)))
-		if err != nil {
-			return 0, err
-		}
+	data, _, err := h.e.m.b.Read(h.e.id, h.offset, int64(len(buf)))
+	if err != nil {
+		return 0, err
 	}
 	n := copy(buf, data)
 	op.Data = data[:n]
@@ -550,17 +529,12 @@ func (h *Handle) Write(data []byte) (int, error) {
 	if err := h.fs.pre(op); err != nil {
 		return 0, err
 	}
-	if f := h.e.mf; f != nil {
-		f.write(off, data)
-		h.e.size = int64(len(f.data))
-	} else {
-		h.fs.preImage(h.e, h.path, h.pid, OpWrite)
-		newSize, err := h.e.m.b.Write(h.e.id, off, data)
-		if err != nil {
-			return 0, err
-		}
-		h.e.size = newSize
+	h.fs.preImage(h.e, h.path, h.pid, OpWrite)
+	newSize, err := h.e.m.b.Write(h.e.id, off, data)
+	if err != nil {
+		return 0, err
 	}
+	h.e.size = newSize
 	h.offset = off + int64(len(data))
 	h.wrote = true
 	h.fs.post(op)
@@ -585,10 +559,8 @@ func (h *Handle) Close() error {
 	if err := h.fs.pre(op); err != nil {
 		return err
 	}
-	if h.e.mf == nil {
-		if err := h.e.m.b.Close(h.e.id); err != nil {
-			return err
-		}
+	if err := h.e.m.b.Close(h.e.id); err != nil {
+		return err
 	}
 	h.closed = true
 	h.fs.post(op)
@@ -902,9 +874,6 @@ func (fs *FS) RestoreFileRaw(p string, content []byte) error {
 	if err := e.m.b.Open(e.id, e.m.rel(p), true, false); err != nil {
 		return err
 	}
-	if e.m.mem != nil {
-		e.mf = e.m.mem.files[e.id]
-	}
 	fs.nextID++
 	d.children[base] = e
 	fs.ids[e.id] = e
@@ -980,9 +949,6 @@ func cloneDirInto(d *dir, mm map[*mount]*mount, materialise map[*mount]bool, nfs
 						}
 					}
 				}
-			}
-			if ne.m.mem != nil {
-				ne.mf = ne.m.mem.files[ne.id]
 			}
 			nd.children[name] = ne
 			nfs.ids[ne.id] = ne

@@ -1,44 +1,106 @@
-// Package vfsadapter connects the backend-neutral detection engine to the
-// in-memory VFS: it sits in the filter chain (the minifilter vantage point
-// of the paper's Fig. 2), translates each *vfs.Op into a core.Event, and
-// exposes the filesystem's raw content reads as the engine's ContentSource.
-//
-// The translation is mechanical and allocation-free — Events are built on
-// the stack and passed by value — so attaching the engine through this
-// adapter costs the same as the engine implementing filter.Filter itself
-// did before the event model was extracted.
+// Package vfsadapter connects the in-memory VFS to a detection session: it
+// sits in the filter chain (the minifilter vantage point of the paper's
+// Fig. 2), translates each *vfs.Op into the backend-neutral core.Event, and
+// submits it to a host.Session with the content the engine will read staged
+// inside, so every op is counted, logged and replayable from the WAL alone.
+// PreOp submits a baseline-only op only when PreEvent would read a file the
+// engine has not measured yet (first touch, never per write chunk); PostOp
+// submits an op whose zero-Kind PreEvent leaves only Handle to run. Which
+// files to stage is the engine's own rule (core.Engine.PreReads/HandleReads).
 package vfsadapter
 
 import (
+	"context"
+	"sync"
+
 	"cryptodrop/internal/core"
+	"cryptodrop/internal/host"
 	"cryptodrop/internal/vfs"
 )
 
-// Filter adapts a core.Engine to the vfs filter chain. PreOp feeds the
-// engine's snapshot pass; PostOp feeds scoring. It never vetoes.
+// Filter feeds a direct host session from vfs filter-chain callbacks; it
+// never vetoes.
 type Filter struct {
-	eng *core.Engine
+	fs   *vfs.FS
+	sess *host.Session
 }
 
-// New returns a chain filter driving eng from vfs operations.
-func New(eng *core.Engine) *Filter { return &Filter{eng: eng} }
-
-// Engine returns the wrapped engine.
-func (f *Filter) Engine() *core.Engine { return f.eng }
+// New returns a filter submitting fsys's operations to sess, which must be
+// direct: the filter reuses its staging buffers once Submit returns.
+func New(fsys *vfs.FS, sess *host.Session) *Filter { return &Filter{fs: fsys, sess: sess} }
 
 // Name identifies the detector in a filter chain.
 func (f *Filter) Name() string { return "cryptodrop" }
 
-// PreOp hands the engine its pre-operation look at state about to be
-// destroyed. It never vetoes.
+// handleOnly is the PreEvent of a post-operation op: a zero Kind.
+var handleOnly core.Event
+
+// PreOp submits the pre-operation side when it reads unmeasured content.
+// PreEvent records nothing for an empty or vanished file, so only files
+// with content are staged, and an op staging none is not submitted.
 func (f *Filter) PreOp(op *vfs.Op) error {
-	f.eng.PreEvent(EventFromOp(op))
+	ev := EventFromOp(op)
+	ids, n := f.sess.Engine().PreReads(&ev)
+	if n == 0 {
+		return nil
+	}
+	st := stagedPool.Get().(*staged)
+	defer st.release()
+	for _, id := range ids[:n] {
+		if data, err := f.fs.ReadFileRawByID(id); err == nil && len(data) > 0 {
+			st.add(id, data)
+		}
+	}
+	if len(st.m) > 0 {
+		st.pre = ev
+		f.submit(host.Op{PreEvent: &st.pre, Pre: st.m, Evict: st.evict})
+	}
 	return nil
 }
 
-// PostOp hands the completed operation to the engine for scoring.
+// PostOp submits the completed operation unless the engine ignores it. An
+// unreadable file stages nothing, so the engine's read fails as this did.
 func (f *Filter) PostOp(op *vfs.Op) {
-	f.eng.Handle(EventFromOp(op))
+	hop := host.Op{Event: EventFromOp(op), PreEvent: &handleOnly}
+	scored, measured := f.sess.Engine().HandleReads(&hop.Event)
+	if !scored {
+		return
+	}
+	if measured {
+		st := stagedPool.Get().(*staged)
+		defer st.release()
+		if data, err := f.fs.ReadFileRawByID(hop.Event.FileID); err == nil {
+			st.add(hop.Event.FileID, data)
+		}
+		hop.Post, hop.Evict = st.m, st.evict
+	}
+	f.submit(hop)
+}
+
+// submit applies hop on the direct session, which waits on no context; a
+// closed session drops it, as a detached filter would.
+func (f *Filter) submit(hop host.Op) { _ = f.sess.Submit(context.TODO(), hop) }
+
+// staged holds one op's staged content. It is pooled: a direct session
+// keeps none of it past Submit, so a staged op allocates no map or slice.
+type staged struct {
+	pre   core.Event
+	m     map[uint64][]byte
+	evict []uint64
+}
+
+var stagedPool = sync.Pool{New: func() any { return &staged{m: make(map[uint64][]byte, 2)} }}
+
+// add stages data as id's content, evicted once the op is scored.
+func (st *staged) add(id uint64, data []byte) {
+	st.m[id] = data
+	st.evict = append(st.evict, id)
+}
+
+func (st *staged) release() {
+	clear(st.m)
+	st.pre, st.evict = core.Event{}, st.evict[:0]
+	stagedPool.Put(st)
 }
 
 // evKinds maps vfs operation kinds to event kinds. Indexed by vfs.OpKind;
@@ -91,17 +153,4 @@ func flagsFromOpen(fl vfs.OpenFlag) core.EventFlag {
 		out |= core.EvAppend
 	}
 	return out
-}
-
-// source exposes a vfs as the engine's ContentSource through the privileged
-// raw read (no handle, no op events, no interceptor recursion).
-type source struct {
-	fs *vfs.FS
-}
-
-// Source returns a core.ContentSource reading file content from fsys by ID.
-func Source(fsys *vfs.FS) core.ContentSource { return source{fs: fsys} }
-
-func (s source) Content(id uint64) ([]byte, error) {
-	return s.fs.ReadFileRawByID(id)
 }

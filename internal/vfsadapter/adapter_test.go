@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"cryptodrop/internal/core"
+	"cryptodrop/internal/host"
 	"cryptodrop/internal/vfs"
 )
 
@@ -65,7 +66,7 @@ func TestEventFromOpFields(t *testing.T) {
 }
 
 // TestFilterDrivesEngine wires a real filesystem through the adapter and
-// checks operations reach the engine's scoreboard.
+// checks operations reach the session's scoreboard through its ingest path.
 func TestFilterDrivesEngine(t *testing.T) {
 	const root = "/Users/victim/Documents"
 	fsys := vfs.New()
@@ -75,42 +76,28 @@ func TestFilterDrivesEngine(t *testing.T) {
 	if err := fsys.WriteFile(0, root+"/a.txt", []byte("plain text content, plain text content")); err != nil {
 		t.Fatal(err)
 	}
-	eng := core.New(core.DefaultConfig(root), Source(fsys))
-	f := New(eng)
+	sess, err := host.New(host.Config{}).Open("s", host.SessionConfig{
+		Engine: core.DefaultConfig(root), Direct: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := New(fsys, sess)
 	if f.Name() != "cryptodrop" {
 		t.Fatalf("filter name %q", f.Name())
-	}
-	if f.Engine() != eng {
-		t.Fatal("Engine() does not return the wrapped engine")
 	}
 	fsys.SetInterceptor(f)
 	if err := fsys.Delete(5, root+"/a.txt"); err != nil {
 		t.Fatal(err)
 	}
-	rep, ok := eng.Report(5)
+	rep, ok := sess.Report(5)
 	if !ok || rep.Deletes != 1 {
 		t.Fatalf("deletion did not reach the engine: ok=%v rep=%+v", ok, rep)
 	}
 	if rep.Score != core.DefaultPoints().Deletion {
 		t.Fatalf("score %.1f, want %.1f", rep.Score, core.DefaultPoints().Deletion)
 	}
-}
-
-// TestSourceReadsByID pins the ContentSource wrapper.
-func TestSourceReadsByID(t *testing.T) {
-	fsys := vfs.New()
-	if err := fsys.WriteFile(0, "/f.bin", []byte{9, 8, 7}); err != nil {
-		t.Fatal(err)
-	}
-	info, err := fsys.Stat("/f.bin")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Source(fsys).Content(info.FileID)
-	if err != nil || string(got) != string([]byte{9, 8, 7}) {
-		t.Fatalf("Content(%d) = %v, %v", info.FileID, got, err)
-	}
-	if _, err := Source(fsys).Content(12345); err == nil {
-		t.Fatal("unknown id must error")
+	if got := sess.Ingested(); got != 1 {
+		t.Fatalf("session ingested %d ops, want 1", got)
 	}
 }
