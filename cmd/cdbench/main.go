@@ -168,8 +168,11 @@ func runRoster(cfg config, spec corpus.Spec, roster []ransomware.Sample) ([]expe
 		if err != nil {
 			return nil, err
 		}
-		defer f.Close()
-		if err := experiments.WriteOutcomesJSON(f, outcomes); err != nil {
+		err = experiments.WriteOutcomesJSON(f, outcomes)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
 			return nil, err
 		}
 		fmt.Fprintf(os.Stderr, "outcomes exported to %s\n", cfg.jsonOut)
@@ -411,6 +414,9 @@ func writeDOT(dir, family string, tree experiments.Fig4Tree) error {
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return tree.RenderDOT(f)
+	err = tree.RenderDOT(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

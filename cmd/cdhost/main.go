@@ -29,6 +29,7 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -65,7 +66,7 @@ type dirList []string
 func (d *dirList) String() string     { return strings.Join(*d, ",") }
 func (d *dirList) Set(v string) error { *d = append(*d, v); return nil }
 
-func run(args []string) error {
+func run(args []string) (err error) {
 	fs := flag.NewFlagSet("cdhost", flag.ContinueOnError)
 	var dirs dirList
 	fs.Var(&dirs, "dir", "directory to watch as one session (repeatable)")
@@ -106,14 +107,21 @@ func run(args []string) error {
 		cfg.spans = telemetry.NewSpanTracer(telemetry.DefaultSpanCapacity, *traceSample)
 	}
 	if *auditOut != "" {
-		f, err := os.Create(*auditOut)
-		if err != nil {
-			return fmt.Errorf("audit-out: %w", err)
+		f, ferr := os.Create(*auditOut)
+		if ferr != nil {
+			return fmt.Errorf("audit-out: %w", ferr)
 		}
-		defer f.Close()
 		sink := audit.NewJSONLSink(f)
 		cfg.sink = sink
 		defer func() {
+			werr := sink.Err()
+			if cerr := f.Close(); werr == nil {
+				werr = cerr
+			}
+			if werr != nil {
+				err = errors.Join(err, fmt.Errorf("audit-out: %w", werr))
+				return
+			}
 			fmt.Printf("audit: %d bundle(s) written to %s\n", sink.Emitted(), *auditOut)
 		}()
 	}
@@ -177,7 +185,7 @@ type roster struct {
 
 // watch multiplexes the configured roots through one host until interrupted
 // (or, when cfg.exitOnAlert, until the first alert).
-func watch(cfg watchConfig) error {
+func watch(cfg watchConfig) (err error) {
 	h := host.New(host.Config{
 		QueueDepth:      cfg.queue,
 		Telemetry:       cfg.reg,
@@ -187,7 +195,7 @@ func watch(cfg watchConfig) error {
 		Restore:         cfg.restore,
 	})
 	if cfg.traceOut != "" {
-		defer dumpSpans(cfg.traceOut, cfg.spans)
+		defer func() { err = errors.Join(err, dumpSpans(cfg.traceOut, cfg.spans)) }()
 	}
 
 	bound := ""
@@ -326,21 +334,20 @@ func watch(cfg watchConfig) error {
 }
 
 // dumpSpans writes the recorded causal spans as a Chrome trace-event file.
-func dumpSpans(path string, spans *telemetry.SpanTracer) {
+func dumpSpans(path string, spans *telemetry.SpanTracer) error {
 	f, err := os.Create(path)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "cdhost: trace-out:", err)
-		return
+		return fmt.Errorf("trace-out: %w", err)
 	}
 	err = spans.WriteChromeTrace(f)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "cdhost: trace-out:", err)
-		return
+		return fmt.Errorf("trace-out: %w", err)
 	}
 	fmt.Printf("trace: %d span(s) written to %s (%d dropped)\n", spans.Recorded(), path, spans.Dropped())
+	return nil
 }
 
 // shutdown drains every session and prints the final per-session summary,

@@ -99,6 +99,23 @@ func TestSelftestObservabilityOutputs(t *testing.T) {
 	}
 }
 
+// TestSelftestOutputWriteFailure: an audit or trace file that cannot be
+// written fails the run instead of reporting its contents as written.
+func TestSelftestOutputWriteFailure(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full selftest cycle")
+	}
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	for _, flag := range []string{"-audit-out", "-trace-out"} {
+		err := run([]string{"-selftest", "-interval", "50ms", flag, "/dev/full"})
+		if err == nil || !strings.Contains(err.Error(), flag[1:]) {
+			t.Errorf("selftest with %s /dev/full: err = %v, want the %s write error", flag, err, flag[1:])
+		}
+	}
+}
+
 // TestSelftestInotify runs the three-root selftest on the Linux inotify
 // source: only the encrypted root's session may alert (the selftest errors
 // otherwise). Off Linux the flag must fail with the platform error.

@@ -249,12 +249,15 @@ func dumpSpans(path string, spans *telemetry.SpanTracer) error {
 	if err != nil {
 		return err
 	}
-	if err := spans.WriteChromeTrace(f); err != nil {
-		f.Close()
+	err = spans.WriteChromeTrace(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		return fmt.Errorf("write spans: %w", err)
 	}
 	fmt.Printf("span tracer: %d span(s) written to %s (%d dropped)\n", spans.Recorded(), path, spans.Dropped())
-	return f.Close()
+	return nil
 }
 
 // dumpTraces writes one flight-recorder trace per detected scoring group;
@@ -273,10 +276,13 @@ func dumpTraces(path string, flight *telemetry.FlightRecorder, detections []core
 	if err != nil {
 		return err
 	}
-	if err := telemetry.WriteTraces(f, traces); err != nil {
-		f.Close()
+	err = telemetry.WriteTraces(f, traces)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		return fmt.Errorf("write traces: %w", err)
 	}
 	fmt.Printf("flight recorder: %d trace(s) written to %s\n", len(traces), path)
-	return f.Close()
+	return nil
 }

@@ -148,7 +148,7 @@ func pickSample(family, class string, seed int64) (ransomware.Sample, error) {
 	return ransomware.Sample{}, fmt.Errorf("no sample of family %q class %q (see -list)", family, class)
 }
 
-func runFamily(spec corpus.Spec, family, class string, noEnforce, rollback, verbose bool, traceTo string, tel telemetrySetup) error {
+func runFamily(spec corpus.Spec, family, class string, noEnforce, rollback, verbose bool, traceTo string, tel telemetrySetup) (err error) {
 	sample, err := pickSample(family, class, spec.Seed)
 	if err != nil {
 		return err
@@ -166,19 +166,22 @@ func runFamily(spec corpus.Spec, family, class string, noEnforce, rollback, verb
 	}
 	tel.attach(runner)
 	if traceTo != "" {
-		f, err := os.Create(traceTo)
-		if err != nil {
-			return err
+		f, ferr := os.Create(traceTo)
+		if ferr != nil {
+			return ferr
 		}
-		defer f.Close()
 		rec := trace.NewRecorder(f)
 		runner.SetTraceRecorder(rec)
 		defer func() {
-			if err := rec.Flush(); err != nil {
-				fmt.Fprintln(os.Stderr, "trace flush:", err)
-			} else {
-				fmt.Printf("trace: %d operations written to %s\n", rec.Records(), traceTo)
+			werr := rec.Flush()
+			if cerr := f.Close(); werr == nil {
+				werr = cerr
 			}
+			if werr != nil {
+				err = errors.Join(err, fmt.Errorf("trace: %w", werr))
+				return
+			}
+			fmt.Printf("trace: %d operations written to %s\n", rec.Records(), traceTo)
 		}()
 	}
 	fmt.Printf("Corpus: %d files in %d directories under %s\n",

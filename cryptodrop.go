@@ -125,8 +125,6 @@ type (
 	EventKind = core.EventKind
 	// EventFlag carries open-intent bits on create/open events.
 	EventFlag = core.EventFlag
-	// ContentSource supplies file content by stable file ID.
-	ContentSource = core.ContentSource
 	// MeasureCache is a bounded content-hash measurement memo cache,
 	// shareable across engines and host sessions. Create with
 	// NewMeasureCache.

@@ -21,12 +21,6 @@ import (
 	"cryptodrop/internal/corpus"
 )
 
-// benchSource serves every file ID the same content, like a corpus of
-// identical documents.
-type benchSource struct{ content []byte }
-
-func (s benchSource) Content(uint64) ([]byte, error) { return s.content, nil }
-
 func BenchmarkSessionIngest(b *testing.B) {
 	b.Run("direct", func(b *testing.B) { benchSessionIngest(b, true) })
 	b.Run("queued", func(b *testing.B) { benchSessionIngest(b, false) })
@@ -88,9 +82,12 @@ func benchSessionIngestHost(b *testing.B, direct bool, hcfg Config, batchSize in
 		case i%10 == 9:
 			pre := core.Event{Kind: core.EvOpen, PID: 1, Path: p, FileID: id,
 				Flags: core.EvWriteIntent, Size: int64(len(doc))}
+			// Every file holds the same document, like a corpus of
+			// identical documents, staged in the ops that read it.
 			ring = append(ring,
-				Op{PreEvent: &pre},
-				Op{Event: core.Event{Kind: core.EvClose, PID: 1, Path: p, FileID: id, Wrote: true}})
+				Op{PreEvent: &pre, Pre: map[uint64][]byte{id: doc}},
+				Op{Event: core.Event{Kind: core.EvClose, PID: 1, Path: p, FileID: id, Wrote: true},
+					Post: map[uint64][]byte{id: doc}})
 		case i%2 == 0:
 			ring = append(ring, Op{Event: core.Event{Kind: core.EvRead, PID: 1, Path: p,
 				FileID: id, Data: doc}})
@@ -104,7 +101,6 @@ func benchSessionIngestHost(b *testing.B, direct bool, hcfg Config, batchSize in
 	h := New(hcfg)
 	sess, err := h.Open("bench", SessionConfig{
 		Engine:       core.DefaultConfig(root),
-		Source:       benchSource{content: doc},
 		Direct:       direct,
 		DegradeAfter: -1,
 	})

@@ -9,8 +9,8 @@ import (
 )
 
 // A session checkpoint is one sealed file: the host-level session state
-// (degrade latch, ingest counters, content overlay) wrapping the engine's
-// own sealed snapshot. The outer envelope carries the same identity
+// (degrade latch, ingest counters) wrapping the engine's own sealed
+// snapshot. The outer envelope carries the same identity
 // fingerprints as the engine snapshot — registry fingerprint and scoring-
 // config hash — so a checkpoint from a differently-configured pipeline is
 // refused at Open time, before a byte of engine state is decoded.
@@ -24,8 +24,9 @@ import (
 
 // hostSnapshotVersion is the session checkpoint format version. Sealed
 // checkpoints carry it folded with the embedded engine snapshot's version
-// (snapshot.Header.Wrap); version 1 envelopes carried it alone.
-const hostSnapshotVersion = 2
+// (snapshot.Header.Wrap); version 1 envelopes carried it alone, and
+// version 2 payloads a content-overlay section.
+const hostSnapshotVersion = 3
 
 // sessionCheckpoint is the decoded host-level state of a checkpoint file.
 type sessionCheckpoint struct {
@@ -34,7 +35,6 @@ type sessionCheckpoint struct {
 	shedBytes   int64
 	saturations int64
 	detCount    int64
-	overlay     map[uint64][]byte
 	engine      []byte // the engine's own sealed snapshot
 }
 
@@ -66,7 +66,6 @@ func encodeCheckpoint(identity snapshot.Header, c *sessionCheckpoint) []byte {
 	enc.Varint(c.shedBytes)
 	enc.Varint(c.saturations)
 	enc.Varint(c.detCount)
-	encodeContentMap(enc, c.overlay)
 	enc.Bytes(c.engine)
 	return snapshot.Seal(identity, enc.Data())
 }
@@ -88,9 +87,8 @@ func decodeCheckpoint(data []byte, want snapshot.Header) (*sessionCheckpoint, er
 		shedBytes:   d.Varint(),
 		saturations: d.Varint(),
 		detCount:    d.Varint(),
-		overlay:     decodeContentMap(d),
+		engine:      d.Bytes(),
 	}
-	c.engine = d.Bytes()
 	if d.Err() != nil {
 		return nil, d.Err()
 	}

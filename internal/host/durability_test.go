@@ -131,7 +131,6 @@ func TestWALRoundTrip(t *testing.T) {
 				PreEvent: &pre,
 				Pre:      map[uint64][]byte{3: []byte("before")},
 				Post:     map[uint64][]byte{3: []byte("after"), 9: {}},
-				Evict:    []uint64{3, 9},
 			},
 			{Event: core.Event{Kind: core.EvRename, PID: -1, Path: "/docs/a.txt",
 				NewPath: "/tmp/a.txt", FileID: 3, ReplacedID: 4, Offset: -8}},
@@ -222,7 +221,6 @@ func TestCheckpointRoundTripAndMismatch(t *testing.T) {
 		shedBytes:   1 << 33,
 		saturations: 5,
 		detCount:    2,
-		overlay:     map[uint64][]byte{1: []byte("one"), 7: {}},
 		engine:      []byte("sealed-engine-snapshot"),
 	}
 	blob := encodeCheckpoint(id, want)
@@ -470,6 +468,20 @@ func TestRestoreIdentityMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+
+	// A checkpoint as the previous build sealed it: host format 2, whose
+	// payload still carried a content-overlay section, around this build's
+	// engine snapshot under this build's fingerprints.
+	v2 := snapshot.NewEncoder()
+	v2.Bool(c.degraded)
+	v2.Varint(c.ingested)
+	v2.Varint(c.shedBytes)
+	v2.Varint(c.saturations)
+	v2.Varint(c.detCount)
+	encodeContentMap(v2, map[uint64][]byte{1: plainContent(1, 64)})
+	v2.Bytes(c.engine)
+	refused("host format 2 with an overlay", snapshot.Seal(s1.eng.SnapshotIdentity().Wrap(2), v2.Data()))
+
 	eh, payload, err := snapshot.Open(c.engine)
 	if err != nil {
 		t.Fatal(err)
@@ -480,7 +492,7 @@ func TestRestoreIdentityMismatch(t *testing.T) {
 		refused(fmt.Sprintf("v%d engine snapshot", v), encodeCheckpoint(s1.checkpointIdentity(), c))
 	}
 
-	// A checkpoint as the previous build sealed it: host format 2 around a
+	// A checkpoint as an earlier build sealed it: host format 2 around a
 	// version-3 engine snapshot, both under that build's "cfg2-" config
 	// hash. Its version refuses it, not the config-hash change.
 	prev := snapshot.Header{Version: 3, Registry: eh.Registry, Config: "cfg2-0123456789abcdef"}
@@ -496,6 +508,44 @@ func TestRestoreIdentityMismatch(t *testing.T) {
 	id := s1.checkpointIdentity()
 	for _, cfg := range []string{id.Config, "cfg1-0123456789abcdef"} {
 		refused("old-way checkpoint ("+cfg+")", encodeCheckpoint(snapshot.Header{Version: 1, Registry: id.Registry, Config: cfg}, c))
+	}
+}
+
+// TestStagedContentNotRetained: content staged in an op lives only while
+// that op is applied. A durable queued session fed ops that each stage a
+// payload under a fresh ID, none of which the engine reads (creates),
+// checkpoints to less than one payload: however many ops stage content,
+// none of it is kept.
+func TestStagedContentNotRetained(t *testing.T) {
+	const n, size = 200, 64 << 10
+	dir := t.TempDir()
+	h := New(Config{CheckpointDir: dir})
+	sess, err := h.Open("v", SessionConfig{Engine: core.DefaultConfig("/docs")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	payload := plainContent(1, size)
+	for id := uint64(1); id <= n; id++ {
+		op := OpCreate(1, fmt.Sprintf("/docs/new%d.txt", id), id)
+		op.Pre = map[uint64][]byte{id: payload}
+		if err := sess.Submit(ctx, op); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sess.Checkpoint(ctx); err != nil {
+		t.Fatal(err)
+	}
+	ckpt, _ := checkpointPaths(dir, "v")
+	fi, err := os.Stat(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() >= size {
+		t.Fatalf("checkpoint after %d staging ops is %d bytes, want under one %d-byte payload", n, fi.Size(), size)
+	}
+	if rep, err := h.CloseSession(ctx, "v"); err != nil || rep.Ingested != n {
+		t.Fatalf("close: ingested %d (err %v), want %d", rep.Ingested, err, n)
 	}
 }
 
@@ -557,9 +607,9 @@ func TestDegradedSessionRestores(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	h1 := New(Config{CheckpointDir: dir, Telemetry: reg})
 	gate := make(chan struct{})
+	gated := gatedConfig(gateUnit{gate: gate})
 	s1, err := h1.Open("v", SessionConfig{
-		Engine:       core.DefaultConfig("/docs"),
-		Source:       gateSource{gate: gate},
+		Engine:       gated,
 		QueueDepth:   2,
 		DegradeAfter: 2,
 	})
@@ -567,7 +617,7 @@ func TestDegradedSessionRestores(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	// Stall the worker on gated content, saturate past the degrade threshold.
+	// Stall the worker on a gated close, saturate past the degrade threshold.
 	for i := uint64(1); i <= 3; i++ {
 		if err := s1.Submit(ctx, closeOp(1, i)); err != nil {
 			t.Fatal(err)
@@ -592,7 +642,7 @@ func TestDegradedSessionRestores(t *testing.T) {
 	// Crash: abandon h1.
 
 	h2 := New(Config{CheckpointDir: dir, Telemetry: telemetry.NewRegistry(), Restore: true})
-	s2, err := h2.Open("v", SessionConfig{Engine: core.DefaultConfig("/docs"), Direct: true})
+	s2, err := h2.Open("v", SessionConfig{Engine: gated, Direct: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -674,8 +724,7 @@ func TestCheckpointOnShutdownAndErrors(t *testing.T) {
 	defer close(gate)
 	h4 := New(Config{CheckpointDir: t.TempDir()})
 	s4, err := h4.Open("stuck", SessionConfig{
-		Engine: core.DefaultConfig("/docs"),
-		Source: gateSource{gate: gate},
+		Engine: gatedConfig(gateUnit{gate: gate}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -707,13 +756,11 @@ func TestZeroKindPreEventRunsOnlyHandle(t *testing.T) {
 					Flags: core.EvWriteIntent, Size: 2048},
 				PreEvent: pre,
 				Pre:      map[uint64][]byte{1: plainContent(1, 2048)},
-				Evict:    []uint64{1},
 			},
 			{
 				Event:    core.Event{Kind: core.EvClose, PID: pid, Path: path, FileID: 1, Wrote: true},
 				PreEvent: pre,
 				Post:     map[uint64][]byte{1: cipherContent(1, 2048)},
-				Evict:    []uint64{1},
 			},
 		}
 	}

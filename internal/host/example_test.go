@@ -58,8 +58,7 @@ func ExampleHost_Open() {
 				Event: core.Event{
 					Kind: core.EvClose, PID: 7, Path: path, FileID: id, Wrote: true,
 				},
-				Post:  map[uint64][]byte{id: enc},
-				Evict: []uint64{id},
+				Post: map[uint64][]byte{id: enc},
 			})
 		if err != nil {
 			fmt.Println("submit:", err)

@@ -124,10 +124,10 @@ type Config struct {
 	// Per-session series are unregistered when their session closes.
 	Telemetry *telemetry.Registry
 	// SlowOpThreshold, when positive, arms the host's slow-op log: every
-	// ingested op taking at least this long end-to-end (overlay install,
-	// PreEvent, Handle, evict) is recorded in a bounded ring surfaced by
-	// Snapshot / the introspection endpoint. Zero disables the log — and
-	// with it the per-op clock reads — entirely.
+	// ingested op taking at least this long end-to-end (PreEvent, then
+	// Handle) is recorded in a bounded ring surfaced by Snapshot / the
+	// introspection endpoint. Zero disables the log — and with it the
+	// per-op clock reads — entirely.
 	SlowOpThreshold time.Duration
 	// CheckpointDir, when set, makes every session durable: the session
 	// writes a sealed checkpoint file (<id>.ckpt) plus a write-ahead log of

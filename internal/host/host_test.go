@@ -4,24 +4,48 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 
 	"cryptodrop/internal/core"
+	"cryptodrop/internal/indicator"
 	"cryptodrop/internal/telemetry"
 )
 
-// gateSource blocks every Content lookup until the gate closes, stalling
-// the session worker inside a measurement so the queue backs up on demand.
-type gateSource struct{ gate chan struct{} }
-
-func (g gateSource) Content(uint64) ([]byte, error) {
-	<-g.gate
-	return nil, errors.New("gate: no content")
+// gateUnit is an indicator that blocks on every written close until its
+// gate yields, stalling the session worker inside Handle so the queue backs
+// up on demand. entered, when non-nil, is signalled as each close arrives,
+// so a test knows exactly when the worker is stalled.
+type gateUnit struct {
+	entered chan struct{}
+	gate    chan struct{}
 }
 
-// closeOp is an op whose Handle needs file content (a completed rewrite),
-// forcing the engine through the session's ContentSource.
+func (gateUnit) Decl() indicator.Decl {
+	return indicator.Decl{ID: 100, Name: "gate", Class: indicator.Secondary,
+		Hooks: []indicator.Hook{indicator.HookClose}}
+}
+
+func (g gateUnit) Eval(indicator.Hook, indicator.Context) (float64, bool) {
+	if g.entered != nil {
+		g.entered <- struct{}{}
+	}
+	<-g.gate
+	return 0, false
+}
+
+// gatedConfig is the default engine configuration for /docs with g added
+// to its indicators.
+func gatedConfig(g gateUnit) core.Config {
+	cfg := core.DefaultConfig("/docs")
+	cfg.Indicators = indicator.Default().With(g)
+	return cfg
+}
+
+// closeOp is a written close in the protected tree: an op whose Handle
+// dispatches the close hook a gateUnit stalls on.
 func closeOp(pid int, id uint64) Op {
 	return Op{Event: core.Event{
 		Kind: core.EvClose, PID: pid, Path: fmt.Sprintf("/docs/f%d.txt", id),
@@ -47,8 +71,7 @@ func TestOverloadBackpressureAndDegradeOnce(t *testing.T) {
 	h := New(Config{Telemetry: reg})
 	gate := make(chan struct{})
 	sess, err := h.Open("tenant", SessionConfig{
-		Engine:       core.DefaultConfig("/docs"),
-		Source:       gateSource{gate: gate},
+		Engine:       gatedConfig(gateUnit{gate: gate}),
 		QueueDepth:   2,
 		DegradeAfter: 3,
 	})
@@ -58,7 +81,7 @@ func TestOverloadBackpressureAndDegradeOnce(t *testing.T) {
 	ctx := context.Background()
 
 	// Three batches: the worker takes the first and stalls in the gated
-	// content read; the other two fill the depth-2 queue.
+	// close; the other two fill the depth-2 queue.
 	for i := uint64(1); i <= 3; i++ {
 		if err := sess.Submit(ctx, closeOp(1, i)); err != nil {
 			t.Fatal(err)
@@ -130,28 +153,14 @@ func TestOverloadBackpressureAndDegradeOnce(t *testing.T) {
 	}
 }
 
-// trackingGate is gateSource plus an unbuffered entry signal, so the test
-// knows exactly when the worker is stalled inside a content read.
-type trackingGate struct {
-	entered chan struct{}
-	gate    chan struct{}
-}
-
-func (g trackingGate) Content(uint64) ([]byte, error) {
-	g.entered <- struct{}{}
-	<-g.gate
-	return nil, errors.New("gate: no content")
-}
-
 // TestSubmitResetsSaturationStreak pins that a successful (unsaturated)
 // submission resets the degrade streak: intermittent pressure short of the
 // threshold never degrades, no matter how long it goes on.
 func TestSubmitResetsSaturationStreak(t *testing.T) {
 	h := New(Config{})
-	g := trackingGate{entered: make(chan struct{}), gate: make(chan struct{})}
+	g := gateUnit{entered: make(chan struct{}), gate: make(chan struct{})}
 	sess, err := h.Open("s", SessionConfig{
-		Engine:       core.DefaultConfig("/docs"),
-		Source:       g,
+		Engine:       gatedConfig(g),
 		QueueDepth:   1,
 		DegradeAfter: 2,
 	})
@@ -165,7 +174,7 @@ func TestSubmitResetsSaturationStreak(t *testing.T) {
 			t.Fatal(err)
 		}
 		select {
-		case <-g.entered: // worker is now stalled inside the content read
+		case <-g.entered: // worker is now stalled inside the gated close
 		case <-time.After(5 * time.Second):
 			t.Fatal("worker never reached the gate")
 		}
@@ -314,8 +323,7 @@ func TestShutdownContextExpiry(t *testing.T) {
 	gate := make(chan struct{})
 	defer close(gate)
 	sess, err := h.Open("stuck", SessionConfig{
-		Engine: core.DefaultConfig("/docs"),
-		Source: gateSource{gate: gate},
+		Engine: gatedConfig(gateUnit{gate: gate}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -355,5 +363,65 @@ func TestDirectSessionSynchronous(t *testing.T) {
 	}
 	if err := sess.Submit(ctx, writeOp(1, 1, nil)); !errors.Is(err, ErrSessionClosed) {
 		t.Fatalf("Submit after close = %v, want ErrSessionClosed", err)
+	}
+}
+
+// TestDirectConcurrentSubmitters: producers submitting to one direct session
+// from several goroutines at once each have their op scored against its own
+// staged content, so every scoring group ends exactly as it does when the
+// same ops arrive from one goroutine. Histories carry global op indices,
+// which depend on the interleaving, so they are left out of the comparison.
+func TestDirectConcurrentSubmitters(t *testing.T) {
+	const producers, files = 4, 12
+	workload := func(p int) []Op {
+		ops := make([]Op, 0, files)
+		for i := 0; i < files; i++ {
+			ops = append(ops, encryptOp(100+p, uint64(p*files+i+1)))
+		}
+		return ops
+	}
+	var all []Op
+	for p := 0; p < producers; p++ {
+		all = append(all, workload(p)...)
+	}
+	cfg := SessionConfig{Engine: core.DefaultConfig("/docs"), Direct: true}
+	want := runReference(t, cfg, all, 1)
+
+	h := New(Config{})
+	sess, err := h.Open("d", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		ops := workload(p)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, op := range ops {
+				if err := sess.Submit(ctx, op); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	got, err := h.CloseSession(ctx, "d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, reps := range [][]core.ProcessReport{got.Reports, want.Reports} {
+		for i := range reps {
+			reps[i].History = nil
+		}
+	}
+	if !reflect.DeepEqual(got.Reports, want.Reports) {
+		t.Fatalf("concurrent submitters diverge from one submitter:\ngot  %+v\nwant %+v", got.Reports, want.Reports)
+	}
+	if got.Ingested != int64(len(all)) || len(got.Detections) != len(want.Detections) {
+		t.Fatalf("ingested %d ops with %d detections, want %d and %d",
+			got.Ingested, len(got.Detections), len(all), len(want.Detections))
 	}
 }

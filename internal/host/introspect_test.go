@@ -48,8 +48,7 @@ func attackSession(t *testing.T, sess *Session, files int) {
 				Event: core.Event{
 					Kind: core.EvClose, PID: 7, Path: path, FileID: id, Wrote: true,
 				},
-				Post:  map[uint64][]byte{id: enc},
-				Evict: []uint64{id},
+				Post: map[uint64][]byte{id: enc},
 			})
 		if err != nil {
 			t.Fatal(err)
@@ -165,8 +164,7 @@ func TestSnapshotOverloadCounters(t *testing.T) {
 	h := New(Config{})
 	gate := make(chan struct{})
 	sess, err := h.Open("tenant", SessionConfig{
-		Engine:       core.DefaultConfig("/docs"),
-		Source:       gateSource{gate: gate},
+		Engine:       gatedConfig(gateUnit{gate: gate}),
 		QueueDepth:   2,
 		DegradeAfter: 3,
 	})

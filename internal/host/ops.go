@@ -3,15 +3,13 @@ package host
 // Op constructors: the one definition of the Op contract for producers
 // (the facade, livewatch's Feeder, the wire client's callers). Each returns
 // one canonical Op so producers never hand-fill the struct: event kinds,
-// write-intent flags, staged-content maps and eviction lists are easy to get
-// subtly wrong (a missing Wrote bit or Evict entry silently skews scoring or
-// leaks overlay memory).
+// write-intent flags and staged-content maps are easy to get subtly wrong (a
+// missing Wrote bit silently skews scoring).
 //
 // The file ID is the producer's stable identity for a file across renames —
 // any uint64 scheme works as long as it is consistent within a session.
-// Staged content (before/after) rides in the op and is evicted from the
-// session's overlay as soon as the op is scored; producers therefore need
-// no server-side filesystem at all.
+// Staged content (before/after) rides in the op and is read only while the
+// op is scored; producers therefore need no server-side filesystem at all.
 
 import "cryptodrop/internal/core"
 
@@ -26,8 +24,7 @@ func OpBaseline(pid int, path string, id uint64, content []byte) Op {
 			Kind: core.EvOpen, PID: pid, Path: path, FileID: id,
 			Flags: core.EvWriteIntent, Size: int64(len(content)),
 		},
-		Pre:   map[uint64][]byte{id: content},
-		Evict: []uint64{id},
+		Pre: map[uint64][]byte{id: content},
 	}
 }
 
@@ -54,8 +51,7 @@ func OpClose(pid int, path string, id uint64, after []byte) Op {
 			Kind: core.EvClose, PID: pid, Path: path, FileID: id,
 			Size: int64(len(after)), Wrote: true,
 		},
-		Post:  map[uint64][]byte{id: after},
-		Evict: []uint64{id},
+		Post: map[uint64][]byte{id: after},
 	}
 }
 

@@ -19,10 +19,6 @@ type SessionConfig struct {
 	// own core.Engine from it. Telemetry, flight recorder and the detection
 	// callback all pass through untouched.
 	Engine core.Config
-	// Source resolves file content the producer did not stage in Op.Pre /
-	// Op.Post. Producers that carry every needed snapshot in their Ops
-	// (trace replay, the cryptodrop.Monitor) leave it nil.
-	Source core.ContentSource
 	// QueueDepth overrides the host's per-session queue capacity, in
 	// batches. Zero inherits the host default.
 	QueueDepth int
@@ -49,14 +45,14 @@ type SessionConfig struct {
 // content snapshots the engine needs to score it. Because application is
 // deferred, the producer's world may have moved on by the time the worker
 // runs — so every byte the engine should see travels inside the Op, and the
-// worker installs it into the session's content overlay at the right moment:
+// engine reads it only while that op is applied:
 //
-//	install Pre → Engine.PreEvent → install Post → Engine.Handle → drop Evict
+//	Engine.PreEvent reads Pre → Engine.Handle reads Post, then Pre
 //
 // Pre therefore carries pre-operation content (what PreEvent snapshots:
 // the version about to be destroyed) and Post carries post-operation
-// content (what Handle measures: the completed transformation). IDs absent
-// from the overlay fall through to SessionConfig.Source.
+// content (what Handle measures: the completed transformation). Nothing
+// staged outlives its op: an ID the op did not stage reads as missing.
 // Engine.PreEvent ignores a zero-Kind event, so an Op whose PreEvent has a
 // zero Kind runs only Handle: the second of the two ops cryptodrop.Monitor
 // submits per operation, one before it mutates the file and one after.
@@ -70,14 +66,10 @@ type Op struct {
 	// Event. Producers use it when the two sides of the pair differ — e.g.
 	// a truncating open whose PreEvent must carry the pre-truncation size.
 	PreEvent *core.Event
-	// Pre maps file ID → content installed before PreEvent runs.
+	// Pre maps file ID → content PreEvent and Handle read.
 	Pre map[uint64][]byte
-	// Post maps file ID → content installed after PreEvent and before
-	// Handle runs.
+	// Post maps file ID → content Handle reads, ahead of Pre.
 	Post map[uint64][]byte
-	// Evict lists file IDs dropped from the overlay after Handle returns
-	// (e.g. deleted files, so the overlay does not grow without bound).
-	Evict []uint64
 }
 
 // SessionReport is the final snapshot returned when a session closes.
@@ -114,17 +106,20 @@ type batch struct {
 	enq time.Time
 }
 
-// Session is one detector instance inside a Host: a core.Engine, its
-// content overlay, and (unless Direct) a bounded ingest queue drained by a
-// single worker goroutine. All methods are safe for concurrent use, but the
-// engine's ordering contract still binds producers: events for one scoring
-// group must be submitted in operation order from one goroutine (distinct
-// groups may use distinct goroutines against the same session).
+// Session is one detector instance inside a Host: a core.Engine, the
+// content of the op it is applying, and (unless Direct) a bounded ingest
+// queue drained by a single worker goroutine. All methods are safe for
+// concurrent use, but the engine's ordering contract still binds producers:
+// events for one scoring group must be submitted in operation order from
+// one goroutine (distinct groups may use distinct goroutines against the
+// same session).
 type Session struct {
-	id      string
-	host    *Host
-	eng     *core.Engine
-	overlay *overlaySource
+	id   string
+	host *Host
+	eng  *core.Engine
+	// staged is the engine's ContentSource: the content of the op being
+	// applied, touched only on the applying goroutine.
+	staged opContent
 
 	direct       bool
 	directMu     sync.Mutex
@@ -252,8 +247,7 @@ func newSession(h *Host, id string, sc SessionConfig) (*Session, error) {
 			sc.Engine.AuditSink = &recoveryStampSink{s: s, inner: sink}
 		}
 	}
-	s.overlay = newOverlaySource(sc.Source)
-	s.eng = core.New(sc.Engine, s.overlay)
+	s.eng = core.New(sc.Engine, &s.staged)
 	s.lastActive.Store(time.Now().UnixNano())
 
 	if reg := h.cfg.Telemetry; reg != nil {
@@ -363,7 +357,6 @@ func (s *Session) openDurable(dir string, every int, restore bool) error {
 			s.eng.SetPayloadBlind(true)
 			s.degGauge.Set(1)
 		}
-		s.overlay.install(c.overlay)
 		base = c.ingested
 	} else if !os.IsNotExist(err) {
 		wal.Close()
@@ -418,7 +411,6 @@ func (s *Session) checkpointNow() error {
 		shedBytes:   s.shedBytes.Load(),
 		saturations: s.saturations.Load(),
 		detCount:    s.detCount.Load(),
-		overlay:     s.overlay.snapshot(),
 		engine:      blob,
 	})
 	if err := writeCheckpointFile(s.ckptPath, sealed); err != nil {
@@ -585,8 +577,7 @@ func (s *Session) submit(ctx context.Context, ops []Op, wait bool) error {
 }
 
 // submitDirect applies ops inline. The mutex serialises concurrent direct
-// submitters so the overlay install/evict windows of two ops cannot
-// interleave.
+// submitters so the staged content of two ops cannot interleave.
 func (s *Session) submitDirect(ops []Op) error {
 	s.directMu.Lock()
 	defer s.directMu.Unlock()
@@ -764,10 +755,9 @@ func (s *Session) apply(ops []Op) {
 	}
 }
 
-// run applies one batch through the engine, enforcing the Op timing
-// contract: Pre content before PreEvent, Post content before Handle, Evict
-// after. After degradation it strips read/write payloads, counting every
-// shed byte, before the event reaches the scoreboard.
+// run applies one batch through the engine. After degradation it strips
+// read/write payloads, counting every shed byte, before the event reaches
+// the scoreboard.
 func (s *Session) run(ops []Op) {
 	sl := s.host.slow
 	for i := range ops {
@@ -786,15 +776,17 @@ func (s *Session) run(ops []Op) {
 	s.events.Add(int64(len(ops)))
 }
 
-// applyOne runs a single op through the engine.
+// applyOne runs a single op through the engine, enforcing the Op contract:
+// PreEvent sees only Pre, Handle sees Post over Pre, and neither outlives
+// the op.
 func (s *Session) applyOne(op *Op) {
-	s.overlay.install(op.Pre)
+	s.staged.pre = op.Pre
 	if pre := op.PreEvent; pre == nil {
 		s.eng.PreEvent(op.Event)
 	} else if pre.Kind != 0 {
 		s.eng.PreEvent(*pre)
 	}
-	s.overlay.install(op.Post)
+	s.staged.post = op.Post
 	if ev := op.Event; ev.Kind != 0 {
 		if s.degraded.Load() && len(ev.Data) > 0 && (ev.Kind == core.EvRead || ev.Kind == core.EvWrite) {
 			n := int64(len(ev.Data))
@@ -804,70 +796,20 @@ func (s *Session) applyOne(op *Op) {
 		}
 		s.eng.Handle(ev)
 	}
-	s.overlay.evict(op.Evict)
+	s.staged = opContent{}
 }
 
-// overlaySource is the session's ContentSource: an ID-keyed overlay of
-// producer-staged snapshots over an optional fallback source. Only the
-// session worker mutates it, but reads may come from engine measurement
-// workers, so access is locked.
-type overlaySource struct {
-	mu       sync.RWMutex
-	m        map[uint64][]byte
-	fallback core.ContentSource
-}
-
-func newOverlaySource(fallback core.ContentSource) *overlaySource {
-	return &overlaySource{m: make(map[uint64][]byte), fallback: fallback}
-}
+// opContent serves the engine the content staged by the op being applied:
+// Post first, then Pre.
+type opContent struct{ pre, post map[uint64][]byte }
 
 // Content implements core.ContentSource.
-func (o *overlaySource) Content(id uint64) ([]byte, error) {
-	o.mu.RLock()
-	b, ok := o.m[id]
-	o.mu.RUnlock()
-	if ok {
+func (c *opContent) Content(id uint64) ([]byte, error) {
+	if b, ok := c.post[id]; ok {
 		return b, nil
 	}
-	if o.fallback != nil {
-		return o.fallback.Content(id)
+	if b, ok := c.pre[id]; ok {
+		return b, nil
 	}
 	return nil, fmt.Errorf("host: no staged content for file %d", id)
-}
-
-func (o *overlaySource) install(m map[uint64][]byte) {
-	if len(m) == 0 {
-		return
-	}
-	o.mu.Lock()
-	for id, b := range m {
-		o.m[id] = b
-	}
-	o.mu.Unlock()
-}
-
-// snapshot copies the overlay's current entries for a checkpoint. Staged
-// content is immutable once installed, so sharing the byte slices is safe.
-func (o *overlaySource) snapshot() map[uint64][]byte {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	if len(o.m) == 0 {
-		return nil
-	}
-	m := make(map[uint64][]byte, len(o.m))
-	for id, b := range o.m {
-		m[id] = b
-	}
-	return m
-}
-
-func (o *overlaySource) evict(ids []uint64) {
-	if len(ids) == 0 {
-		return
-	}
-	o.mu.Lock()
-	for _, id := range ids {
-		delete(o.m, id)
-	}
-	o.mu.Unlock()
 }

@@ -45,9 +45,10 @@ import (
 // names another version is therefore refused with a WALFormatError instead.
 
 // walMagic opens every write-ahead log; walVersion is its record format.
+// Version 1 records carried a per-op eviction list.
 const (
 	walMagic   = "CDWL"
-	walVersion = 1
+	walVersion = 2
 )
 
 // walHeader is the header every WAL file starts with, written whenever the
@@ -163,10 +164,6 @@ func encodeOp(enc *snapshot.Encoder, op *Op) {
 	}
 	encodeContentMap(enc, op.Pre)
 	encodeContentMap(enc, op.Post)
-	enc.Uvarint(uint64(len(op.Evict)))
-	for _, id := range op.Evict {
-		enc.Uvarint(id)
-	}
 }
 
 func decodeOp(d *snapshot.Decoder) Op {
@@ -179,12 +176,6 @@ func decodeOp(d *snapshot.Decoder) Op {
 	}
 	op.Pre = decodeContentMap(d)
 	op.Post = decodeContentMap(d)
-	if n := d.Count(); n > 0 {
-		op.Evict = make([]uint64, n)
-		for i := range op.Evict {
-			op.Evict[i] = d.Uvarint()
-		}
-	}
 	return op
 }
 
@@ -259,10 +250,6 @@ func opsSize(ops []Op) int {
 			n += eventSize(op.PreEvent)
 		}
 		n += contentMapSize(op.Pre) + contentMapSize(op.Post)
-		n += snapshot.UvarintLen(uint64(len(op.Evict)))
-		for _, id := range op.Evict {
-			n += snapshot.UvarintLen(id)
-		}
 	}
 	return n
 }

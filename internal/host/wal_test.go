@@ -17,18 +17,17 @@ func smallBatch() []Op {
 	return []Op{{
 		Event: core.Event{Kind: core.EvClose, PID: 5, Path: "/docs/a.txt", FileID: 2, Wrote: true},
 		Post:  map[uint64][]byte{2: []byte("ab")},
-		Evict: []uint64{2},
 	}}
 }
 
 // TestBatchRecordGolden pins the batch record byte for byte, so any change
 // to the WAL and wire record format is a deliberate one.
 func TestBatchRecordGolden(t *testing.T) {
-	const want = "210601050a0b2f646f63732f612e7478740002000000000001000001020261620102fa298d49"
+	const want = "1f0601050a0b2f646f63732f612e747874000200000000000100000102026162782e5a6b"
 	if got := hex.EncodeToString(AppendBatch(nil, 3, smallBatch())); got != want {
 		t.Fatalf("batch record changed:\n got %s\nwant %s", got, want)
 	}
-	if got := hex.EncodeToString(walHeader); got != "4344574c01" {
+	if got := hex.EncodeToString(walHeader); got != "4344574c02" {
 		t.Fatalf("WAL header changed: %s", got)
 	}
 }
@@ -72,6 +71,10 @@ func TestAppendBatchDoesNotAllocate(t *testing.T) {
 // no header, an FNV-64a trailer.
 const fnvEraWAL = "1c0001060a0b2f646f63732f612e7478740002000000000000000000000b830ee13cc88ddb"
 
+// evictEraWAL is a one-record write-ahead log in format version 1, whose
+// ops still carried an eviction list (here [2]).
+const evictEraWAL = "4344574c01" + "210601050a0b2f646f63732f612e7478740002000000000001000001020261620102fa298d49"
+
 // TestRestoreRefusesOldWALFormat: a WAL without this build's header — one
 // written before headers existed, or one naming an unknown version — fails
 // Restore with a typed *WALFormatError wrapping snapshot.ErrVersion, and is
@@ -81,9 +84,13 @@ func TestRestoreRefusesOldWALFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	v1, err := hex.DecodeString(evictEraWAL)
+	if err != nil {
+		t.Fatal(err)
+	}
 	future := append([]byte(walMagic), 9)
 	future = AppendBatch(future, 0, smallBatch())
-	for name, data := range map[string][]byte{"fnv-era": old, "future-version": future} {
+	for name, data := range map[string][]byte{"fnv-era": old, "v1-evict-list": v1, "future-version": future} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
 			_, walPath := checkpointPaths(dir, "v")

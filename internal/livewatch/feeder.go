@@ -29,8 +29,8 @@ type Submitter interface {
 // the session's core.Engine. The feeder assigns stable file IDs to paths and
 // translates each scanner Event into host.Op batches with the file content
 // staged inside (Pre for previous versions, Post for completed rewrites), so
-// the session scores them from its op overlay without ever touching the
-// changing filesystem. One Feeder feeds one session; each root a host
+// the session scores each op from the content it carries without ever
+// touching the changing filesystem. One Feeder feeds one session; each root a host
 // multiplexes gets its own.
 //
 // Everything is attributed to the tree's single unknown actor, and scoring

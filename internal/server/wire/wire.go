@@ -15,8 +15,8 @@
 //	payload = varint seq | count-prefixed ops
 //
 // where the checksum (snapshot.Checksum) covers the length prefix and the
-// payload. Version 1 streams carried an FNV-64a trailer; they are refused at
-// the header.
+// payload. Version 1 streams carried an FNV-64a trailer and version 2 ops a
+// per-op eviction list; both are refused at the header.
 //
 // seq is the producer's op position of the frame's first op — the session's
 // total ops sent before this frame. It makes ingest idempotent: a server
@@ -51,7 +51,7 @@ const Magic = "CDWF"
 
 // Version is the wire-format version this build speaks. The stream header
 // carries it; a server refuses versions it does not know.
-const Version = 2
+const Version = 3
 
 // MaxFrameBytes caps one frame's payload — the allocation-bomb guard for
 // hostile length fields, and the practical upper bound on one batch's staged

@@ -26,7 +26,6 @@ func sampleOps() []host.Op {
 		},
 		{
 			Event: core.Event{Kind: core.EvRename, PID: 41, Path: "docs/a.txt", NewPath: "docs/a.txt.locked", FileID: 7},
-			Evict: []uint64{7},
 			Post:  nil,
 			Pre:   nil,
 		},
@@ -141,6 +140,15 @@ func TestV1HeaderRefused(t *testing.T) {
 	}
 }
 
+// A version-2 stream header (ops with a per-op eviction list) is refused,
+// never decoded as frames in the current op layout.
+func TestV2HeaderRefused(t *testing.T) {
+	v2 := append([]byte(Magic), 0x02, 0x01, 's')
+	if _, err := ReadHeader(bufio.NewReader(bytes.NewReader(v2))); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("v2 header: err = %v, want ErrBadFrame", err)
+	}
+}
+
 // Trailing garbage inside a checksummed payload is structural corruption.
 func TestTrailingBytesRefused(t *testing.T) {
 	// Build a frame whose payload has two extra bytes after the ops.
@@ -160,11 +168,11 @@ func TestTrailingBytesRefused(t *testing.T) {
 // TestFrameGolden pins the frame encoding byte for byte, so any change to
 // the wire format is a deliberate one.
 func TestFrameGolden(t *testing.T) {
-	const want = "87010e0305520a646f63732f612e74787400070000000000010102520a646f63732f612e747874000700000016020001070b68656c6c6f20776f726c640107048f0122d90007520a646f63732f612e74787411646f63732f612e7478742e6c6f636b656407000000000000000000010706520a646f63732f622e747874000900000000000000000000d9018f47"
+	const want = "83010e0305520a646f63732f612e74787400070000000000010102520a646f63732f612e747874000700000016020001070b68656c6c6f20776f726c640107048f0122d907520a646f63732f612e74787411646f63732f612e7478742e6c6f636b65640700000000000000000006520a646f63732f622e74787400090000000000000000008151229e"
 	if got := hex.EncodeToString(AppendFrame(nil, 7, sampleOps())); got != want {
 		t.Fatalf("frame encoding changed:\n got %s\nwant %s", got, want)
 	}
-	if got := hex.EncodeToString(AppendHeader(nil, "s")); got != "43445746020173" {
+	if got := hex.EncodeToString(AppendHeader(nil, "s")); got != "43445746030173" {
 		t.Fatalf("stream header changed: %s", got)
 	}
 }

@@ -9,9 +9,8 @@ import (
 // carrying every byte the engine will need inside the ops themselves: it
 // walks the store exactly as EventReplayer.Replay does, but instead of
 // driving an engine it stages the files PreEvent may read in Op.Pre before
-// finish, the file Handle measures in Op.Post after it, and evicts staged
-// IDs once the op is scored. A host session applying the returned ops (in
-// order, with no fallback ContentSource) produces a scoreboard, detection
+// finish, and the file Handle measures in Op.Post after it. A host session
+// applying the returned ops in order produces a scoreboard, detection
 // list and flight trace bit-identical to EventReplayer.Replay over the same
 // records — the conformance suite pins this.
 //
@@ -35,22 +34,22 @@ func (r *EventReplayer) BuildHostOps(records []Record) ([]host.Op, ReplayResult)
 			op.PreEvent = &pre
 		}
 		for _, id := range st.preIDs[:st.nPre] {
-			r.stage(&op.Pre, &op.Evict, id)
+			r.stage(&op.Pre, id)
 		}
 		r.finish(rec, &st)
 		if st.post {
-			r.stage(&op.Post, &op.Evict, st.ev.FileID)
+			r.stage(&op.Post, st.ev.FileID)
 		}
 		ops = append(ops, op)
 	}
 	return ops, res
 }
 
-// stage copies id's stored content into *m, allocating it on first use, and
-// lists id for eviction; a file missing from the store stages nothing, so
-// the session's read fails as the live one did. The copy is taken because
-// the store mutates after the op is built.
-func (r *EventReplayer) stage(m *map[uint64][]byte, evict *[]uint64, id uint64) {
+// stage copies id's stored content into *m, allocating it on first use; a
+// file missing from the store stages nothing, so the session's read fails as
+// the live one did. The copy is taken because the store mutates after the
+// op is built.
+func (r *EventReplayer) stage(m *map[uint64][]byte, id uint64) {
 	data, _, err := r.mem.Read(id, 0, -1)
 	if err != nil {
 		return
@@ -59,5 +58,4 @@ func (r *EventReplayer) stage(m *map[uint64][]byte, evict *[]uint64, id uint64) 
 		*m = make(map[uint64][]byte, 1)
 	}
 	(*m)[id] = append([]byte(nil), data...)
-	*evict = append(*evict, id)
 }

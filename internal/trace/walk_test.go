@@ -140,15 +140,15 @@ func TestWalkEdgeRecords(t *testing.T) {
 	if trunc.PreEvent == nil || trunc.PreEvent.Size != int64(len(edgeSeed[0].content)) || trunc.Event.Size != 0 {
 		t.Errorf("truncating open: PreEvent %+v, Event size %d; want PreEvent size %d", trunc.PreEvent, trunc.Event.Size, len(edgeSeed[0].content))
 	}
-	if !bytes.Equal(trunc.Pre[1], edgeSeed[0].content) || !reflect.DeepEqual(trunc.Evict, []uint64{1}) {
-		t.Errorf("truncating open staged Pre %d bytes, Evict %v; want the old bytes and [1]", len(trunc.Pre[1]), trunc.Evict)
+	if len(trunc.Pre) != 1 || !bytes.Equal(trunc.Pre[1], edgeSeed[0].content) {
+		t.Errorf("truncating open staged Pre %d IDs, %d bytes for id 1; want only the old bytes", len(trunc.Pre), len(trunc.Pre[1]))
 	}
 	rename := opFor(core.EvRename, 1, 0)
-	if len(rename.Pre) != 2 || !bytes.Equal(rename.Pre[2], edgeSeed[1].content) || !reflect.DeepEqual(rename.Evict, []uint64{2, 1}) {
-		t.Errorf("rename staged %d IDs, Evict %v; want both sides and [2 1]", len(rename.Pre), rename.Evict)
+	if _, ok := rename.Pre[1]; len(rename.Pre) != 2 || !ok || !bytes.Equal(rename.Pre[2], edgeSeed[1].content) {
+		t.Errorf("rename staged %d IDs; want both sides, 1 and 2", len(rename.Pre))
 	}
-	if closed := opFor(core.EvClose, 3, 0); closed.Post != nil || closed.Evict != nil {
-		t.Errorf("close of a deleted file staged Post %v, Evict %v", closed.Post, closed.Evict)
+	if closed := opFor(core.EvClose, 3, 0); closed.Post != nil {
+		t.Errorf("close of a deleted file staged Post %v", closed.Post)
 	}
 
 	h := host.New(host.Config{})

@@ -48,12 +48,12 @@ func (f *Filter) PreOp(op *vfs.Op) error {
 	defer st.release()
 	for _, id := range ids[:n] {
 		if data, err := f.fs.ReadFileRawByID(id); err == nil && len(data) > 0 {
-			st.add(id, data)
+			st.m[id] = data
 		}
 	}
 	if len(st.m) > 0 {
 		st.pre = ev
-		f.submit(host.Op{PreEvent: &st.pre, Pre: st.m, Evict: st.evict})
+		f.submit(host.Op{PreEvent: &st.pre, Pre: st.m})
 	}
 	return nil
 }
@@ -70,9 +70,9 @@ func (f *Filter) PostOp(op *vfs.Op) {
 		st := stagedPool.Get().(*staged)
 		defer st.release()
 		if data, err := f.fs.ReadFileRawByID(hop.Event.FileID); err == nil {
-			st.add(hop.Event.FileID, data)
+			st.m[hop.Event.FileID] = data
 		}
-		hop.Post, hop.Evict = st.m, st.evict
+		hop.Post = st.m
 	}
 	f.submit(hop)
 }
@@ -82,24 +82,17 @@ func (f *Filter) PostOp(op *vfs.Op) {
 func (f *Filter) submit(hop host.Op) { _ = f.sess.Submit(context.TODO(), hop) }
 
 // staged holds one op's staged content. It is pooled: a direct session
-// keeps none of it past Submit, so a staged op allocates no map or slice.
+// keeps none of it past Submit, so a staged op allocates no map.
 type staged struct {
-	pre   core.Event
-	m     map[uint64][]byte
-	evict []uint64
+	pre core.Event
+	m   map[uint64][]byte
 }
 
 var stagedPool = sync.Pool{New: func() any { return &staged{m: make(map[uint64][]byte, 2)} }}
 
-// add stages data as id's content, evicted once the op is scored.
-func (st *staged) add(id uint64, data []byte) {
-	st.m[id] = data
-	st.evict = append(st.evict, id)
-}
-
 func (st *staged) release() {
 	clear(st.m)
-	st.pre, st.evict = core.Event{}, st.evict[:0]
+	st.pre = core.Event{}
 	stagedPool.Put(st)
 }
 
