@@ -12,7 +12,7 @@ import (
 // self-contained "why was this process flagged" record emitted through
 // Config.AuditSink. Assembly runs in dispatch, outside all engine locks;
 // everything that must be read consistently with the detection (score
-// composition, files lost, deletions) was captured under the shard lock
+// composition, files lost, deletions) was captured under the engine lock
 // inside firedDetection, and the firing history comes from the flight
 // recorder's causal prefix.
 
@@ -63,7 +63,7 @@ func (e *Engine) buildAuditBundle(fd firedDetection) *audit.Bundle {
 	}
 
 	// Per-indicator contributions, from the detection's own point totals
-	// (captured under the shard lock — exact even when the flight ring
+	// (captured under the engine lock — exact even when the flight ring
 	// wrapped), sorted by registry ID.
 	ids := make([]Indicator, 0, len(det.Indicators))
 	for id := range det.Indicators {

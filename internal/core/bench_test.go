@@ -1,10 +1,11 @@
 package core
 
 // Microbenchmarks for the detection hot path: the per-file measurement
-// kernel and the engine's PostOp under multi-process contention. Run with
-// -cpu 1,4,8 to see how PostOp throughput scales across cores; before the
-// scoreboard was sharded every operation serialised on one engine-wide
-// mutex, so the -cpu 8 line barely moved.
+// kernel and the engine's PostOp under multi-process contention. In
+// production each engine has one writer; here several goroutines share one
+// engine, so run with -cpu 1,4,8 to see what its one mutex costs when
+// writers do contend. Measurement runs outside the lock, so close-time
+// evaluations still overlap.
 
 import (
 	"fmt"

@@ -1,8 +1,9 @@
 package core
 
-// Concurrency regression tests for the sharded scoreboard. Run with -race:
-// these tests exist to catch lock-window regressions (a delete racing the
-// content read of a completed rewrite) and cross-shard ordering bugs, not
+// Concurrency regression tests for the engine lock. Production engines have
+// one writer, but every method stays safe for concurrent use. Run with
+// -race: these tests exist to catch lock-window regressions (a delete
+// racing the content read of a completed rewrite) and unguarded state, not
 // to assert timing.
 
 import (
@@ -19,7 +20,7 @@ import (
 // to read the rewritten file's content and then re-acquire it, so a
 // concurrent delete of the same file ID could mutate the file cache inside
 // a window the close handler believed was covered by its lock. The engine
-// now reads content before taking any scoreboard lock; a delete racing the
+// now reads content before taking the engine lock; a delete racing the
 // read must leave the engine consistent — the close either sees the content
 // (and scores the transformation) or sees a read error (and scores
 // nothing), never a torn state.
@@ -69,8 +70,8 @@ func TestConcurrentDeleteCloseSameFile(t *testing.T) {
 
 // TestConcurrentPostOpDistinctProcesses drives the full detection hot path
 // from many goroutines, each acting as its own process on its own file: the
-// sharded scoreboard must keep every process's bookkeeping isolated, and
-// every transformation must land exactly once.
+// scoreboard must keep every process's bookkeeping isolated, and every
+// transformation must land exactly once.
 func TestConcurrentPostOpDistinctProcesses(t *testing.T) {
 	cfg := DefaultConfig(testRoot)
 	fs, eng := setup(t, cfg)

@@ -145,10 +145,9 @@ type Config struct {
 	OnExonerate func(group int)
 	// Telemetry, if set, receives the engine's metrics: per-indicator fire
 	// counters (series derived from the registry's declared names),
-	// detection counters and score distributions, measurement latency
-	// histograms and sampled shard lock-wait times. Nil (the
-	// default) disables all metric collection; the event path then pays a
-	// single nil-check branch.
+	// detection counters and score distributions, and measurement latency
+	// histograms. Nil (the default) disables all metric collection; the
+	// event path then pays a single nil-check branch.
 	Telemetry *telemetry.Registry
 	// FlightRecorder, if set, captures the ordered per-group sequence of
 	// indicator firings so every Detection can be explained after the fact.

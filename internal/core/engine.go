@@ -28,11 +28,13 @@ import (
 // Create an Engine with New and feed it Events through PreEvent/Handle —
 // in production through a host session, fed by the backend adapters
 // (internal/vfsadapter for the filter chain, livewatch.Feeder for a real
-// directory), or from trace.EventReplayer for recorded streams. All methods are safe for concurrent use. The
-// scoreboard is sharded by scoring-group PID and the file-state cache by
-// file ID, so operations from distinct processes on distinct files never
-// contend on a shared lock; see DESIGN.md ("Concurrency model") for the
-// shard layout and ordering guarantees, and DESIGN.md ("Indicator
+// directory), or from trace.EventReplayer for recorded streams. Each engine
+// has one writer: the session's applying goroutine, or the replayer. All
+// methods are still safe for concurrent use. One mutex guards the
+// scoreboard, the file-state cache and the detection log, so readers
+// (Report, Reports, Detections, PreReads, HandleReads) see whole
+// operations; file content is measured outside it. See DESIGN.md
+// ("Concurrency model") for who takes the lock, and DESIGN.md ("Indicator
 // pipeline") for the layer seams.
 type Engine struct {
 	cfg Config
@@ -54,14 +56,28 @@ type Engine struct {
 	// plain byte weighting: some unit declared FeatByteWeighting.
 	byteWeighted bool
 
-	// procs is the sharded per-process scoreboard.
-	procs procTable
+	// mu guards procs, files, creators, detections and the scoring scratch
+	// (ctx, spanOn). Handle holds it while scoring an operation; readers
+	// hold it while they copy.
+	mu sync.Mutex
+	// procs is the per-process scoreboard, keyed by scoring group.
+	procs map[int]*procState
 	// files caches the measured previous-version state of protected
-	// files, keyed by stable file ID so it survives renames and moves,
-	// sharded by ID. It also tracks which process created each file,
-	// distinguishing a process deleting its own temp files from one
-	// destroying the user's pre-existing data.
-	files fileTable
+	// files, keyed by stable file ID so it survives renames and moves.
+	files map[uint64]*fileState
+	// creators records which process created each file, distinguishing a
+	// process deleting its own temp files from one destroying the user's
+	// pre-existing data.
+	creators map[uint64]int
+	// detections is the detection log in occurrence order.
+	detections []Detection
+	// ctx is the scratch evaluation context handed to indicator units and
+	// the policy; living here keeps hook dispatch allocation-free. It is
+	// reconfigured per scoring step.
+	ctx evalCtx
+	// spanOn marks the operation being scored as sampled for causal
+	// tracing: award and policy sub-spans record only while it is set.
+	spanOn bool
 
 	// memo is the content-hash measurement memo cache (Config.MeasureCache,
 	// possibly shared fleet-wide); nil disables memoization.
@@ -89,9 +105,6 @@ type Engine struct {
 	// indNames resolves indicator IDs to their declared names for span and
 	// audit attribution, independent of whether metrics are enabled.
 	indNames map[indicator.ID]string
-
-	detMu      sync.Mutex
-	detections []Detection
 }
 
 // New returns an engine analysing the event stream under cfg.ProtectedRoot,
@@ -119,10 +132,12 @@ func New(cfg Config, src ContentSource) *Engine {
 		pol:          pol,
 		feats:        feats,
 		byteWeighted: feats.Has(indicator.FeatByteWeighting),
+		procs:        make(map[int]*procState),
+		files:        make(map[uint64]*fileState),
+		creators:     make(map[uint64]int),
 	}
+	e.ctx.e = e
 	e.buildHooks()
-	e.procs.init()
-	e.files.init()
 	e.memo = cfg.MeasureCache
 	e.tel = newEngineTelemetry(cfg.Telemetry, cfg.FlightRecorder, reg)
 	e.spans = cfg.SpanTracer
@@ -174,27 +189,15 @@ func (e *Engine) inRoot(p string) bool {
 	return p == root || strings.HasPrefix(p, e.rootDir)
 }
 
-// lockProc resolves pid to its scoring group, locks the owning scoreboard
-// shard and returns the (created if needed) entry. The caller must unlock
-// sh.mu when done with the entry.
-func (e *Engine) lockProc(pid int) (ps *procState, sh *procShard) {
-	if e.cfg.FamilyOf != nil {
-		pid = e.cfg.FamilyOf(pid)
-	}
-	sh = e.procs.shard(pid)
-	if t := e.tel; t != nil && sh.lockSamples.Add(1)&lockWaitSampleMask == 0 {
-		t0 := time.Now()
-		sh.mu.Lock()
-		t.lockWait.ObserveDuration(time.Since(t0))
-	} else {
-		sh.mu.Lock()
-	}
-	ps, ok := sh.m[pid]
+// proc returns scoring group g's entry, creating it on first use; e.mu
+// held.
+func (e *Engine) proc(g int) *procState {
+	ps, ok := e.procs[g]
 	if !ok {
-		ps = newProcState(pid, e.byteWeighted)
-		sh.m[pid] = ps
+		ps = newProcState(g, e.byteWeighted)
+		e.procs[g] = ps
 	}
-	return ps, sh
+	return ps
 }
 
 // PreEvent snapshots file state that would otherwise be destroyed by the
@@ -207,7 +210,11 @@ func (e *Engine) PreEvent(ev Event) {
 	ids, n := e.PreReads(&ev)
 	for _, id := range ids[:n] {
 		if st := e.measure(id, true); st != nil {
-			e.files.storeIfMissing(id, st)
+			e.mu.Lock()
+			if _, ok := e.files[id]; !ok {
+				e.files[id] = st
+			}
+			e.mu.Unlock()
 		}
 	}
 }
@@ -249,12 +256,14 @@ func (e *Engine) PreReads(ev *Event) (ids [2]uint64, n int) {
 		return ids, 0
 	}
 	all, m := e.preReads(ev)
+	e.mu.Lock()
 	for _, id := range all[:m] {
-		if !e.files.has(id) {
+		if _, ok := e.files[id]; !ok {
 			ids[n] = id
 			n++
 		}
 	}
+	e.mu.Unlock()
 	return ids, n
 }
 
@@ -266,7 +275,15 @@ func (e *Engine) HandleReads(ev *Event) (scored, measured bool) {
 		return false, false
 	}
 	return true, e.wantContent() && (ev.Kind == EvClose && ev.Wrote || ev.Kind == EvRename &&
-		e.inRoot(ev.NewPath) && (ev.ReplacedID != 0 || e.files.has(ev.FileID)))
+		e.inRoot(ev.NewPath) && (ev.ReplacedID != 0 || e.cached(ev.FileID)))
+}
+
+// cached reports whether a previous-version state is cached for id.
+func (e *Engine) cached(id uint64) bool {
+	e.mu.Lock()
+	_, ok := e.files[id]
+	e.mu.Unlock()
+	return ok
 }
 
 // StaticPreReads returns the files PreEvent(ev) may read under any
@@ -282,7 +299,7 @@ func (e *Engine) Handle(ev Event) {
 		return
 	}
 	// One sampling decision covers the whole operation: the op span plus
-	// the award/policy sub-spans recorded under ps.spanOn. Disabled tracing
+	// the award/policy sub-spans recorded under e.spanOn. Disabled tracing
 	// costs exactly this one nil-check branch.
 	var opStart time.Time
 	traced := e.spans.Sample()
@@ -291,14 +308,16 @@ func (e *Engine) Handle(ev Event) {
 	}
 	// Transformation-evaluating ops (a completed rewrite, a rename into
 	// the protected tree) need the file's current content. It is read and
-	// measured before the shard lock is taken, so a concurrent delete or
-	// rename can never mutate the file cache under a lock the reader holds.
+	// measured before the lock is taken, so readers never wait on the
+	// measurement kernels.
 	var cur *fileState
 	if measured {
 		cur = e.measure(ev.FileID, false)
 	}
-	ps, sh := e.lockProc(ev.PID)
-	ps.spanOn = traced
+	g := e.GroupOf(ev.PID)
+	e.mu.Lock()
+	ps := e.proc(g)
+	e.spanOn = traced
 
 	opIdx := e.opIndex.Add(1)
 	switch ev.Kind {
@@ -314,15 +333,15 @@ func (e *Engine) Handle(ev Event) {
 		e.handleRename(ps, &ev, cur, opIdx)
 	case EvCreate:
 		if e.feats.Has(indicator.FeatCreator) {
-			e.files.setCreator(ev.FileID, ev.PID)
+			e.creators[ev.FileID] = ev.PID
 		}
 		ps.dirsTouched[path.Dir(ev.Path)] = true
 	case EvOpen:
 		ps.dirsTouched[path.Dir(ev.Path)] = true
 	}
 	det, fire := e.checkDetection(ps, opIdx)
-	ps.spanOn = false
-	sh.mu.Unlock()
+	e.spanOn = false
+	e.mu.Unlock()
 	if traced {
 		e.spans.Record(telemetry.Span{
 			Name: "op " + ev.Kind.String(), Cat: "dispatch", Lane: e.lane,
@@ -335,7 +354,7 @@ func (e *Engine) Handle(ev Event) {
 }
 
 // firedDetection couples a Detection with the flagged group's bookkeeping
-// captured under the shard lock at the moment of detection — the inputs
+// captured under the engine lock at the moment of detection — the inputs
 // the audit bundle needs that the public Detection does not carry.
 type firedDetection struct {
 	det       Detection
@@ -377,16 +396,13 @@ func (e *Engine) ExonerateUndetected() {
 		return
 	}
 	var groups []int
-	for i := range e.procs.shards {
-		sh := &e.procs.shards[i]
-		sh.mu.Lock()
-		for pid, ps := range sh.m {
-			if !ps.detected {
-				groups = append(groups, pid)
-			}
+	e.mu.Lock()
+	for g, ps := range e.procs {
+		if !ps.detected {
+			groups = append(groups, g)
 		}
-		sh.mu.Unlock()
 	}
+	e.mu.Unlock()
 	sort.Ints(groups)
 	for _, g := range groups {
 		e.cfg.OnExonerate(g)
@@ -394,7 +410,7 @@ func (e *Engine) ExonerateUndetected() {
 }
 
 // handleRead folds a read payload into the entropy tracker and, when some
-// unit consumes type sniffs, the funneling sets; proc-shard lock held.
+// unit consumes type sniffs, the funneling sets; e.mu held.
 func (e *Engine) handleRead(ps *procState, ev *Event, opIdx int64) {
 	ps.delta.AddRead(ev.Data)
 	ps.dirsTouched[path.Dir(ev.Path)] = true
@@ -415,7 +431,7 @@ func (e *Engine) handleRead(ps *procState, ev *Event, opIdx int64) {
 }
 
 // handleWrite folds a write payload into the entropy tracker and dispatches
-// the per-write hook; proc-shard lock held.
+// the per-write hook; e.mu held.
 func (e *Engine) handleWrite(ps *procState, ev *Event, opIdx int64) {
 	ps.delta.AddWrite(ev.Data)
 	ps.dirsTouched[path.Dir(ev.Path)] = true
@@ -424,7 +440,7 @@ func (e *Engine) handleWrite(ps *procState, ev *Event, opIdx int64) {
 }
 
 // deltaSuspicious reports whether the process's current entropy delta
-// exceeds the threshold; proc-shard lock held.
+// exceeds the threshold; e.mu held.
 func (e *Engine) deltaSuspicious(ps *procState) bool {
 	d, ok := ps.delta.Delta()
 	return ok && d >= e.cfg.EntropyDeltaThreshold
@@ -432,8 +448,7 @@ func (e *Engine) deltaSuspicious(ps *procState) bool {
 
 // handleClose dispatches the touch-level close hook for every written
 // handle, then evaluates the completed rewrite against the cached
-// previous-version state when its content could be measured; proc-shard
-// lock held.
+// previous-version state when its content could be measured; e.mu held.
 func (e *Engine) handleClose(ps *procState, ev *Event, cur *fileState, opIdx int64) {
 	if !ev.Wrote {
 		return
@@ -442,10 +457,10 @@ func (e *Engine) handleClose(ps *procState, ev *Event, cur *fileState, opIdx int
 	if cur == nil {
 		return
 	}
-	e.evaluate(ps, cur, ev.FileID, e.files.entry(ev.FileID), opIdx, ev.Path)
+	e.evaluate(ps, cur, ev.FileID, e.files[ev.FileID], opIdx, ev.Path)
 }
 
-// handleDelete scores a protected file removal; proc-shard lock held.
+// handleDelete scores a protected file removal; e.mu held.
 // Removing a file the process itself created (temp/autosave churn) is
 // ordinary behaviour; the deletion unit scores it far lower than destroying
 // the user's pre-existing data — the bulk deletion the secondary indicator
@@ -456,18 +471,18 @@ func (e *Engine) handleDelete(ps *procState, ev *Event, opIdx int64) {
 	ps.touchExt(extOf(ev.Path))
 	var own bool
 	if e.feats.Has(indicator.FeatCreator) {
-		own = e.files.creator(ev.FileID) == ev.PID
+		own = e.creators[ev.FileID] == ev.PID
 	}
 	e.runHook(indicator.HookDelete, ps, opIdx, ev.Path, measured{ownDelete: own})
-	e.files.drop(ev.FileID)
-	e.files.dropCreator(ev.FileID)
+	delete(e.files, ev.FileID)
+	delete(e.creators, ev.FileID)
 }
 
 // handleRename links file state across moves. A rename that replaces an
 // existing protected file is a Class B/C transformation of the replaced
 // file; a move back into the protected root is checked against the moved
 // file's own cached state. Each protected-tree side of the rename also gets
-// a touch-level hook dispatch; proc-shard lock held.
+// a touch-level hook dispatch; e.mu held.
 func (e *Engine) handleRename(ps *procState, ev *Event, cur *fileState, opIdx int64) {
 	if e.inRoot(ev.Path) {
 		ps.dirsTouched[path.Dir(ev.Path)] = true
@@ -487,12 +502,12 @@ func (e *Engine) handleRename(ps *procState, ev *Event, cur *fileState, opIdx in
 		// The incoming file replaced a protected file: compare the new
 		// content against the replaced file's snapshot.
 		if cur != nil {
-			e.evaluate(ps, cur, ev.FileID, e.files.entry(ev.ReplacedID), opIdx, ev.NewPath)
+			e.evaluate(ps, cur, ev.FileID, e.files[ev.ReplacedID], opIdx, ev.NewPath)
 		}
-		e.files.drop(ev.ReplacedID)
+		delete(e.files, ev.ReplacedID)
 		return
 	}
-	if prev := e.files.entry(ev.FileID); prev != nil && cur != nil {
+	if prev := e.files[ev.FileID]; prev != nil && cur != nil {
 		// The file itself returned to the protected tree (Class B):
 		// compare against its own pre-move state.
 		e.evaluate(ps, cur, ev.FileID, prev, opIdx, ev.NewPath)
@@ -503,7 +518,7 @@ func (e *Engine) handleRename(ps *procState, ev *Event, cur *fileState, opIdx in
 // measured as cur, against the previous-version state prev (nil for a new
 // file): the funneling hook first (the written-type set may have changed),
 // then the new-file or transform hook. The new state then becomes the
-// file's previous version; proc-shard lock held.
+// file's previous version; e.mu held.
 func (e *Engine) evaluate(ps *procState, cur *fileState, contentID uint64, prev *fileState, opIdx int64, path string) {
 	if e.feats.Has(indicator.FeatTypeSniff) {
 		ps.typesWritten[cur.typ.ID] = true
@@ -515,19 +530,16 @@ func (e *Engine) evaluate(ps *procState, cur *fileState, contentID uint64, prev 
 		ps.filesTransformed++
 		e.runHook(indicator.HookTransform, ps, opIdx, path, measured{newState: cur, prev: prev})
 	}
-	e.files.store(contentID, cur)
+	e.files[contentID] = cur
 }
 
 // Report returns the scoreboard snapshot for pid (resolved to its scoring
 // group under family scoring).
 func (e *Engine) Report(pid int) (ProcessReport, bool) {
-	if e.cfg.FamilyOf != nil {
-		pid = e.cfg.FamilyOf(pid)
-	}
-	sh := e.procs.shard(pid)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	ps, ok := sh.m[pid]
+	g := e.GroupOf(pid)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	ps, ok := e.procs[g]
 	if !ok {
 		return ProcessReport{}, false
 	}
@@ -537,22 +549,19 @@ func (e *Engine) Report(pid int) (ProcessReport, bool) {
 // Reports returns snapshots for every scored process, ordered by PID.
 func (e *Engine) Reports() []ProcessReport {
 	var out []ProcessReport
-	for i := range e.procs.shards {
-		sh := &e.procs.shards[i]
-		sh.mu.Lock()
-		for _, ps := range sh.m {
-			out = append(out, ps.report())
-		}
-		sh.mu.Unlock()
+	e.mu.Lock()
+	for _, ps := range e.procs {
+		out = append(out, ps.report())
 	}
+	e.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].PID < out[j].PID })
 	return out
 }
 
 // Detections returns all detections in occurrence order.
 func (e *Engine) Detections() []Detection {
-	e.detMu.Lock()
-	defer e.detMu.Unlock()
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	out := make([]Detection, len(e.detections))
 	copy(out, e.detections)
 	return out

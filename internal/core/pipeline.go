@@ -49,15 +49,15 @@ type measured struct {
 }
 
 // runHook evaluates every unit subscribed to h against the current
-// operation and awards whatever fires; proc-shard lock held. The scratch
-// context lives in the procState so dispatch allocates nothing.
+// operation and awards whatever fires; e.mu held. The scratch context lives
+// in the engine so dispatch allocates nothing.
 func (e *Engine) runHook(h indicator.Hook, ps *procState, opIdx int64, path string, m measured) {
 	units := e.hooks[h]
 	if len(units) == 0 {
 		return
 	}
-	c := &ps.ctx
-	c.e, c.ps, c.opIdx, c.path, c.m = e, ps, opIdx, path, m
+	c := &e.ctx
+	c.ps, c.opIdx, c.path, c.m = ps, opIdx, path, m
 	for i := range units {
 		hu := &units[i]
 		if hu.once && ps.indicatorSeen[hu.id] {
@@ -70,8 +70,8 @@ func (e *Engine) runHook(h indicator.Hook, ps *procState, opIdx int64, path stri
 }
 
 // award adds points for an indicator occurrence and gives the policy its
-// post-award look (where acceleration conditions can change); proc-shard
-// lock held. path attributes the award in telemetry.
+// post-award look (where acceleration conditions can change); e.mu held.
+// path attributes the award in telemetry.
 func (e *Engine) award(ps *procState, id indicator.ID, pts float64, opIdx int64, path string) {
 	ps.indicatorSeen[id] = true
 	ps.indicatorPoints[id] += pts
@@ -80,28 +80,28 @@ func (e *Engine) award(ps *procState, id indicator.ID, pts float64, opIdx int64,
 		ps.history = append(ps.history, ScorePoint{OpIndex: opIdx, Score: ps.score})
 	}
 	e.tel.fired(ps, id, pts, opIdx, path)
-	if ps.spanOn {
+	if e.spanOn {
 		e.spans.Record(telemetry.Span{
 			Name: "award " + e.indNames[id], Cat: "award", Lane: e.lane,
 			Group: ps.pid, OpIndex: opIdx, Path: path,
 			Detail: fmt.Sprintf("points=%g score=%g", pts, ps.score),
 		}, time.Now(), 0)
 	}
-	e.pol.AfterAward(&ps.ctx)
+	e.pol.AfterAward(&e.ctx)
 }
 
 // checkDetection asks the policy to judge the process against its effective
-// threshold; proc-shard lock held. The fired detection — the Detection plus
-// the scoreboard facts the audit bundle needs, captured under this lock —
-// is returned for dispatch outside the lock.
+// threshold; e.mu held. The fired detection — the Detection plus the
+// scoreboard facts the audit bundle needs, captured under this lock — is
+// returned for dispatch outside the lock.
 func (e *Engine) checkDetection(ps *procState, opIdx int64) (firedDetection, bool) {
 	if ps.detected {
 		return firedDetection{}, false
 	}
-	c := &ps.ctx
-	c.e, c.ps, c.opIdx = e, ps, opIdx
+	c := &e.ctx
+	c.ps, c.opIdx = ps, opIdx
 	threshold, detect := e.pol.Decide(c)
-	if ps.spanOn {
+	if e.spanOn {
 		e.spans.Record(telemetry.Span{
 			Name: "policy", Cat: "policy", Lane: e.lane,
 			Group: ps.pid, OpIndex: opIdx,
@@ -124,9 +124,7 @@ func (e *Engine) checkDetection(ps *procState, opIdx int64) (firedDetection, boo
 	for ind, pts := range ps.indicatorPoints {
 		det.Indicators[ind] = pts
 	}
-	e.detMu.Lock()
 	e.detections = append(e.detections, det)
-	e.detMu.Unlock()
 	return firedDetection{
 		det:       det,
 		filesLost: ps.filesTransformed,
@@ -135,9 +133,9 @@ func (e *Engine) checkDetection(ps *procState, opIdx int64) (firedDetection, boo
 }
 
 // evalCtx adapts one scoring step to the indicator- and policy-layer
-// Context interfaces. One instance lives inside each procState (configured
-// by runHook/checkDetection under the owning shard lock), so handing &ctx
-// to an interface parameter never heap-allocates on the event path.
+// Context interfaces. One instance lives inside the engine (configured by
+// runHook/checkDetection under e.mu), so handing &ctx to an interface
+// parameter never heap-allocates on the event path.
 type evalCtx struct {
 	e     *Engine
 	ps    *procState
@@ -237,7 +235,7 @@ func (c *evalCtx) Accelerate(label string, bonus float64) {
 		ps.history = append(ps.history, ScorePoint{OpIndex: c.opIdx, Score: ps.score})
 	}
 	c.e.tel.accelerated(ps, label, bonus, c.opIdx)
-	if ps.spanOn {
+	if c.e.spanOn {
 		c.e.spans.Record(telemetry.Span{
 			Name: "award " + label, Cat: "award", Lane: c.e.lane,
 			Group: ps.pid, OpIndex: c.opIdx,

@@ -15,7 +15,7 @@ import (
 
 // This file implements the engine side of the durable-session contract: a
 // versioned, deterministic capture of every piece of state that decides a
-// verdict — the scoreboard shards, the previous-version file cache, the
+// verdict — the scoreboard, the previous-version file cache, the
 // creator map, the detection log, the operation counter, the payload-blind
 // flag, and the flight recorder — plus the restore path that rebuilds an
 // identically-configured engine from it.
@@ -35,7 +35,8 @@ import (
 // Callers must quiesce the engine around Snapshot and Restore: no
 // concurrent PreEvent/Handle. The host guarantees this by checkpointing
 // only between batches (queued sessions) or under the direct mutex (direct
-// sessions).
+// sessions). Both still take the engine lock, so concurrent readers see
+// the state before or after, never a mix.
 
 // engineSnapshotVersion is the engine snapshot format version. Bump it when
 // the payload layout changes; restore refuses other versions with a typed
@@ -100,9 +101,12 @@ func (e *Engine) Snapshot() ([]byte, error) {
 	enc := snapshot.NewEncoder()
 	enc.Varint(e.opIndex.Load())
 	enc.Bool(e.payloadBlind.Load())
+	e.mu.Lock()
 	e.encodeDetections(enc)
 	e.encodeProcs(enc)
-	if err := e.encodeFiles(enc); err != nil {
+	err := e.encodeFiles(enc)
+	e.mu.Unlock()
+	if err != nil {
 		return nil, err
 	}
 	e.encodeFlight(enc)
@@ -142,23 +146,9 @@ func (e *Engine) Restore(data []byte) error {
 	// The decode is fully valid: install.
 	e.opIndex.Store(opIdx)
 	e.payloadBlind.Store(blind)
-	e.detMu.Lock()
-	e.detections = dets
-	e.detMu.Unlock()
-	e.procs.init()
-	for _, ps := range procs {
-		sh := e.procs.shard(ps.pid)
-		sh.mu.Lock()
-		sh.m[ps.pid] = ps
-		sh.mu.Unlock()
-	}
-	e.files.init()
-	for id, st := range states {
-		e.files.store(id, st)
-	}
-	for id, pid := range creators {
-		e.files.setCreator(id, pid)
-	}
+	e.mu.Lock()
+	e.detections, e.procs, e.files, e.creators = dets, procs, states, creators
+	e.mu.Unlock()
 	if t := e.tel; t != nil && t.recorder != nil {
 		if hasFlight {
 			t.recorder.Restore(flight, recorded)
@@ -169,10 +159,9 @@ func (e *Engine) Restore(data []byte) error {
 	return nil
 }
 
-// encodeDetections writes the detection log in occurrence order.
+// encodeDetections writes the detection log in occurrence order; e.mu
+// held.
 func (e *Engine) encodeDetections(enc *snapshot.Encoder) {
-	e.detMu.Lock()
-	defer e.detMu.Unlock()
 	enc.Uvarint(uint64(len(e.detections)))
 	for _, det := range e.detections {
 		enc.Varint(int64(det.PID))
@@ -267,10 +256,13 @@ func decodeMean(d *snapshot.Decoder) entropy.MeanState {
 	}
 }
 
-// encodeProcs writes every scoreboard entry, globally sorted by scoring-group
-// PID so the encoding is independent of shard layout and map order.
+// encodeProcs writes every scoreboard entry sorted by scoring-group PID, so
+// the encoding is independent of map order; e.mu held.
 func (e *Engine) encodeProcs(enc *snapshot.Encoder) {
-	procs := e.procs.all()
+	procs := make([]*procState, 0, len(e.procs))
+	for _, ps := range e.procs {
+		procs = append(procs, ps)
+	}
 	sort.Slice(procs, func(i, j int) bool { return procs[i].pid < procs[j].pid })
 	enc.Uvarint(uint64(len(procs)))
 	for _, ps := range procs {
@@ -311,9 +303,9 @@ func (e *Engine) encodeProcs(enc *snapshot.Encoder) {
 	}
 }
 
-func (e *Engine) decodeProcs(d *snapshot.Decoder) []*procState {
+func (e *Engine) decodeProcs(d *snapshot.Decoder) map[int]*procState {
 	n := d.Count()
-	var out []*procState
+	out := make(map[int]*procState, n)
 	for i := 0; i < n; i++ {
 		ps := newProcState(int(d.Varint()), e.byteWeighted)
 		ps.score = d.F64()
@@ -340,40 +332,19 @@ func (e *Engine) decodeProcs(d *snapshot.Decoder) []*procState {
 		if d.Err() != nil {
 			return nil
 		}
-		out = append(out, ps)
+		out[ps.pid] = ps
 	}
 	return out
 }
 
 // encodeFiles writes the previous-version file cache and the creator map,
-// each globally sorted by file ID.
+// each sorted by file ID; e.mu held.
 func (e *Engine) encodeFiles(enc *snapshot.Encoder) error {
-	type fileEntry struct {
-		id uint64
-		st *fileState
-	}
-	var entries []fileEntry
-	var creatorIDs []uint64
-	creators := make(map[uint64]int)
-	for i := range e.files.shards {
-		sh := &e.files.shards[i]
-		sh.mu.Lock()
-		for id, st := range sh.states {
-			entries = append(entries, fileEntry{id: id, st: st})
-		}
-		for id, pid := range sh.creators {
-			creatorIDs = append(creatorIDs, id)
-			creators[id] = pid
-		}
-		sh.mu.Unlock()
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].id < entries[j].id })
-	sort.Slice(creatorIDs, func(i, j int) bool { return creatorIDs[i] < creatorIDs[j] })
-
-	enc.Uvarint(uint64(len(entries)))
-	for _, en := range entries {
-		st := en.st
-		enc.Uvarint(en.id)
+	ids := sortedIDs(e.files)
+	enc.Uvarint(uint64(len(ids)))
+	for _, id := range ids {
+		st := e.files[id]
+		enc.Uvarint(id)
 		enc.Bool(st != nil)
 		if st == nil {
 			continue
@@ -384,7 +355,7 @@ func (e *Engine) encodeFiles(enc *snapshot.Encoder) error {
 		if st.digest != nil {
 			text, err := st.digest.MarshalText()
 			if err != nil {
-				return fmt.Errorf("snapshot file %d: %w", en.id, err)
+				return fmt.Errorf("snapshot file %d: %w", id, err)
 			}
 			enc.Bool(true)
 			enc.Bytes(text)
@@ -395,12 +366,23 @@ func (e *Engine) encodeFiles(enc *snapshot.Encoder) error {
 		enc.F64(st.entropy)
 	}
 
-	enc.Uvarint(uint64(len(creatorIDs)))
-	for _, id := range creatorIDs {
+	ids = sortedIDs(e.creators)
+	enc.Uvarint(uint64(len(ids)))
+	for _, id := range ids {
 		enc.Uvarint(id)
-		enc.Varint(int64(creators[id]))
+		enc.Varint(int64(e.creators[id]))
 	}
 	return nil
+}
+
+// sortedIDs returns m's keys in ascending order.
+func sortedIDs[V any](m map[uint64]V) []uint64 {
+	ids := make([]uint64, 0, len(m))
+	for id := range m {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	return ids
 }
 
 func decodeFiles(d *snapshot.Decoder) (states map[uint64]*fileState, creators map[uint64]int) {

@@ -1,7 +1,7 @@
 package core
 
 // Microbenchmarks for the engine durability primitives: sealing the engine's
-// complete scoring state (sharded scoreboards, file baselines, open-handle
+// complete scoring state (scoreboard, file baselines, open-handle
 // groups, detection latch, flight recorder) into a snapshot blob, and
 // rehydrating a fresh engine from one. The engine under measurement is
 // mid-attack: 64 tracked files, several hundred hot-path ops applied, a

@@ -48,16 +48,8 @@ type procState struct {
 	dirsTouched map[string]bool
 	// history records the score trajectory (capped, see maxHistory).
 	history []ScorePoint
-	// spanOn marks the operation currently scoring this process as sampled
-	// for causal tracing: award and policy sub-spans record only while it
-	// is set. Written and read under the owning shard lock.
-	spanOn bool
 	// sniff caches identified types of offset-0 read prefixes.
 	sniff sniffCache
-	// ctx is the scratch evaluation context handed to indicator units and
-	// the policy; living here keeps hook dispatch allocation-free. Only
-	// valid under the owning shard lock, reconfigured per scoring step.
-	ctx evalCtx
 }
 
 // ScorePoint is one step of a process's score trajectory.
@@ -151,4 +143,79 @@ func (ps *procState) report() ProcessReport {
 	}
 	sort.Strings(r.DirsTouched)
 	return r
+}
+
+// sniffKey identifies a sniffed read payload: the file it came from, the
+// payload length and a hash of the leading bytes. Keying on the file ID
+// keeps the cache exact across distinct files that share a prefix (two
+// OOXML containers can agree on far more than 16 leading bytes).
+type sniffKey struct {
+	id uint64
+	n  int
+	h  uint64
+}
+
+// sniffCacheCap bounds the per-process sniff cache.
+const sniffCacheCap = 64
+
+// sniffCache is a small per-process LRU mapping a read payload's prefix to
+// its identified type, so a process re-reading the same file does not pay
+// for magic.Identify on every offset-0 read. It is only touched under e.mu.
+type sniffCache struct {
+	m     map[sniffKey]magic.Type
+	order []sniffKey // least recently used first
+}
+
+// prefixHash is FNV-1a over the first 16 bytes of data.
+func prefixHash(data []byte) uint64 {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	n := len(data)
+	if n > 16 {
+		n = 16
+	}
+	h := uint64(offset64)
+	for _, b := range data[:n] {
+		h = (h ^ uint64(b)) * prime64
+	}
+	return h
+}
+
+func (c *sniffCache) key(id uint64, data []byte) sniffKey {
+	return sniffKey{id: id, n: len(data), h: prefixHash(data)}
+}
+
+// get returns the cached type for the payload, refreshing its recency.
+func (c *sniffCache) get(k sniffKey) (magic.Type, bool) {
+	t, ok := c.m[k]
+	if !ok {
+		return magic.Type{}, false
+	}
+	for i, ek := range c.order {
+		if ek == k {
+			copy(c.order[i:], c.order[i+1:])
+			c.order[len(c.order)-1] = k
+			break
+		}
+	}
+	return t, true
+}
+
+// put caches the identified type, evicting the least recently used entry
+// when full.
+func (c *sniffCache) put(k sniffKey, t magic.Type) {
+	if c.m == nil {
+		c.m = make(map[sniffKey]magic.Type, sniffCacheCap)
+	}
+	if _, ok := c.m[k]; !ok && len(c.order) >= sniffCacheCap {
+		delete(c.m, c.order[0])
+		copy(c.order, c.order[1:])
+		c.order = c.order[:len(c.order)-1]
+	}
+	if _, ok := c.m[k]; !ok {
+		c.order = append(c.order, k)
+	}
+	c.m[k] = t
 }

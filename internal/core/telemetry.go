@@ -28,8 +28,6 @@ type engineTelemetry struct {
 	detTransformed *telemetry.Histogram
 	// measureLat is the file-measurement kernel latency.
 	measureLat *telemetry.Histogram
-	// lockWait is the sampled proc-shard lock acquisition wait.
-	lockWait *telemetry.Histogram
 	// readFails counts ContentSource read failures on the measurement path.
 	// A failed read is not "empty content": it aborts the measurement, and
 	// this counter is what distinguishes the two after the fact.
@@ -40,10 +38,6 @@ type engineTelemetry struct {
 	// explanation of detections.
 	recorder *telemetry.FlightRecorder
 }
-
-// lockWaitSampleMask samples one in 64 proc-shard lock acquisitions when
-// telemetry is enabled, keeping two clock reads off most operations.
-const lockWaitSampleMask = 63
 
 // newEngineTelemetry wires the engine's metrics into reg and attaches the
 // flight recorder, deriving one fire-counter series per indicator in the
@@ -69,7 +63,6 @@ func newEngineTelemetry(reg *telemetry.Registry, fr *telemetry.FlightRecorder, i
 	t.detScore = reg.Histogram("engine_detection_score", telemetry.ScoreBuckets())
 	t.detTransformed = reg.Histogram("engine_detection_files_transformed", telemetry.CountBuckets())
 	t.measureLat = reg.Histogram("engine_measure_seconds", telemetry.DefaultLatencyBuckets())
-	t.lockWait = reg.Histogram("engine_proc_shard_lock_wait_seconds", telemetry.DefaultLatencyBuckets())
 	t.readFails = reg.Counter("engine_content_read_failures_total")
 	t.auditBundles = reg.Counter("engine_audit_bundles_total")
 	return t
@@ -96,7 +89,7 @@ func (t *engineTelemetry) indicatorName(id indicator.ID) string {
 	return id.String()
 }
 
-// fired records one indicator award; proc-shard lock held (so events for a
+// fired records one indicator award; engine lock held (so events for a
 // scoring group are captured in award order).
 func (t *engineTelemetry) fired(ps *procState, id indicator.ID, pts float64, opIdx int64, path string) {
 	if t == nil {
@@ -116,8 +109,7 @@ func (t *engineTelemetry) fired(ps *procState, id indicator.ID, pts float64, opI
 }
 
 // accelerated records the policy's one-time acceleration bonus under its
-// own label ("union-bonus" for the default union policy); proc-shard lock
-// held.
+// own label ("union-bonus" for the default union policy); engine lock held.
 func (t *engineTelemetry) accelerated(ps *procState, label string, pts float64, opIdx int64) {
 	if t == nil {
 		return
@@ -133,7 +125,7 @@ func (t *engineTelemetry) accelerated(ps *procState, label string, pts float64, 
 	})
 }
 
-// detected records a threshold crossing; proc-shard lock held.
+// detected records a threshold crossing; engine lock held.
 func (t *engineTelemetry) detected(ps *procState) {
 	if t == nil {
 		return

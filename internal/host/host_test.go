@@ -261,6 +261,16 @@ func TestSessionLifecycle(t *testing.T) {
 	if err := a.Flush(ctx); !errors.Is(err, ErrSessionClosed) {
 		t.Fatalf("Flush after close = %v, want ErrSessionClosed", err)
 	}
+	d, err := h.Open("d", SessionConfig{Engine: core.DefaultConfig("/docs"), Direct: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.CloseSession(context.Background(), "d"); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Flush(ctx); !errors.Is(err, ErrSessionClosed) {
+		t.Fatalf("direct Flush after close = %v, want ErrSessionClosed", err)
+	}
 	if _, err := h.CloseSession(context.Background(), "a"); !errors.Is(err, ErrSessionClosed) {
 		t.Fatalf("double Close = %v, want ErrSessionClosed", err)
 	}

@@ -612,27 +612,31 @@ func (s *Session) noteSaturation() {
 // Flush blocks until every op queued before the call has been applied, or
 // ctx expires. Direct sessions apply each op before Submit returns.
 func (s *Session) Flush(ctx context.Context) error {
-	if !s.direct {
-		s.qmu.RLock()
+	if s.direct {
 		if s.closed.Load() {
-			s.qmu.RUnlock()
 			return fmt.Errorf("host: session %q: flush: %w", s.id, ErrSessionClosed)
 		}
-		marker := batch{flushed: make(chan struct{})}
-		select {
-		case s.queue <- marker:
-			s.qmu.RUnlock()
-		case <-ctx.Done():
-			s.qmu.RUnlock()
-			return fmt.Errorf("host: session %q: flush: %w", s.id, ctx.Err())
-		}
-		select {
-		case <-marker.flushed:
-		case <-ctx.Done():
-			return fmt.Errorf("host: session %q: flush: %w", s.id, ctx.Err())
-		}
+		return nil
 	}
-	return nil
+	s.qmu.RLock()
+	if s.closed.Load() {
+		s.qmu.RUnlock()
+		return fmt.Errorf("host: session %q: flush: %w", s.id, ErrSessionClosed)
+	}
+	marker := batch{flushed: make(chan struct{})}
+	select {
+	case s.queue <- marker:
+		s.qmu.RUnlock()
+	case <-ctx.Done():
+		s.qmu.RUnlock()
+		return fmt.Errorf("host: session %q: flush: %w", s.id, ctx.Err())
+	}
+	select {
+	case <-marker.flushed:
+		return nil
+	case <-ctx.Done():
+		return fmt.Errorf("host: session %q: flush: %w", s.id, ctx.Err())
+	}
 }
 
 // Report returns the scoreboard snapshot for pid. It reflects only ops the

@@ -10,7 +10,7 @@ package indicator
 // planting the decoys (livewatch.PlantHoneyfiles writes a standard set).
 //
 // The unit is immutable after construction and safe for concurrent Eval
-// across engine shards.
+// across engines.
 type HoneyfileUnit struct {
 	paths map[string]bool
 }

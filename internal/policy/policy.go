@@ -18,7 +18,7 @@ import "cryptodrop/internal/indicator"
 
 // Context is a policy's window onto one scoring group's state. It is only
 // valid for the duration of the call it is passed to; implementations are
-// supplied by the engine with the group's shard lock held.
+// supplied by the engine with its lock held.
 type Context interface {
 	// Score is the group's current reputation score.
 	Score() float64
@@ -47,8 +47,7 @@ type Context interface {
 // Policy decides detection for a scoring group. AfterAward runs after every
 // indicator award (the point where acceleration conditions can change);
 // Decide runs whenever the engine re-evaluates the group against its
-// threshold. Both run with the group's shard lock held and must not retain
-// ctx.
+// threshold. Both run with the engine lock held and must not retain ctx.
 type Policy interface {
 	AfterAward(ctx Context)
 	Decide(ctx Context) (threshold float64, detect bool)

@@ -196,7 +196,7 @@ func Open(data []byte) (Header, []byte, error) {
 	var h Header
 	h.Version = d.Uvarint()
 	h.Registry = d.String()
-	h.Config = d.Config()
+	h.Config = d.String()
 	payload := d.Bytes()
 	if d.Err() != nil {
 		return Header{}, nil, d.Err()
@@ -352,9 +352,6 @@ func (d *Decoder) Bool() bool {
 // String reads a length-prefixed string, validating the length against the
 // remaining payload before allocating.
 func (d *Decoder) String() string { return string(d.lengthPrefixed("string")) }
-
-// Config reads a length-prefixed string (alias used by Open for clarity).
-func (d *Decoder) Config() string { return d.String() }
 
 // Bytes reads a length-prefixed byte slice. The returned slice is a copy,
 // safe to retain.

@@ -3,7 +3,7 @@ package cryptodrop
 // Op constructors for producers feeding host sessions or the wire client —
 // the builders behind Session.Submit and the detection service's ingest
 // stream. Each forwards to internal/host, which holds the one definition of
-// the Op contract; see there for what every op stages and evicts.
+// the Op contract; see there for what every op stages.
 
 import "cryptodrop/internal/host"
 
